@@ -2,7 +2,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast test-ring test-replica test-wire test-workload test-quality bench bench-smoke bench-trend profile docs-check examples-check check
+.PHONY: test test-fast test-ring test-replica test-wire test-workload test-quality bench bench-smoke bench-e0 bench-e0-smoke bench-trend profile docs-check examples-check check
 
 test:
 	$(PYTEST) -x -q
@@ -51,6 +51,18 @@ bench:
 bench-smoke:
 	$(PYTEST) benchmarks/bench_bulk_path.py benchmarks/bench_sharded_scan.py benchmarks/bench_platform_store.py benchmarks/bench_pipelined_transport.py benchmarks/bench_ring_rebalance.py benchmarks/bench_ring_replication.py benchmarks/bench_wire_cluster.py benchmarks/bench_hot_path.py benchmarks/bench_workload.py benchmarks/bench_adaptive_quality.py -q --bench-scale=smoke
 
+# E0, the canonical end-to-end benchmark (BENCHMARK.json is its contract):
+# seven requester programs, end-to-end metrics plus the traced per-layer
+# table.  See benchmarks/e0/README.md.
+bench-e0:
+	python3 benchmarks/e0/run.py --seed 11
+
+# E0 at toy sizes (same code paths and checks, never the baseline) plus the
+# harness's own self-checks.
+bench-e0-smoke:
+	python3 benchmarks/e0/run.py --seed 11 --scale smoke
+	python -m pytest benchmarks/e0 -q
+
 # Diff the working-tree BENCH_*.json trajectories against the committed
 # baselines at HEAD; fail on any >20% regression of a tracked metric.
 bench-trend:
@@ -73,5 +85,6 @@ examples-check:
 	PYTHONPATH=src python tools/examples_check.py
 
 # The pre-PR gate: quick tests, docs lint + quickstart, examples, bench
-# smoke, and the benchmark trend gate against the committed trajectories.
-check: test-fast docs-check examples-check bench-smoke bench-trend
+# smoke, E0 smoke, and the benchmark trend gate against the committed
+# trajectories.
+check: test-fast docs-check examples-check bench-smoke bench-e0-smoke bench-trend

@@ -1,15 +1,6 @@
-"""E16 — hot-path speed program: group commit, snapshot reopen, codecs.
+"""E16 — hot-path speed program: snapshot reopen, codecs, batched log append.
 
-Three measurements behind one experiment id, matching this PR's three
-storage-layer optimisations:
-
-* **Cross-shard group commit** — the E10 publish/simulate/collect workload
-  on a durable sqlite store, with ``group_commit`` off vs on.  Off pays one
-  sqlite commit (an fsync on most filesystems) per write inside the
-  simulate loop; on defers them to one ``commit_group`` barrier per wave.
-  Full scale asserts the simulate phase is at least ``MIN_SIMULATE_SPEEDUP``
-  faster and the whole workload at least ``MIN_TOTAL_SPEEDUP``, and proves
-  durability by reopening the database after close and recounting.
+Two measurements behind one experiment id:
 
 * **Persistent ring sequence index** — a 3-member sqlite ring holding
   ``NUM_KEYS`` keys, reopened three ways: from its ``idx::`` snapshot, from
@@ -28,8 +19,7 @@ storage-layer optimisations:
   speed until payloads get large).
 
 Also reports the log engine's batched append (one buffered write+flush per
-``put_many`` instead of one per record), the satellite that motivated the
-group-commit seam.
+``put_many`` instead of one per record).
 """
 
 from __future__ import annotations
@@ -38,26 +28,14 @@ import os
 
 import pytest
 
-from repro.config import PlatformConfig, WorkerPoolConfig
-from repro.platform.client import PlatformClient
-from repro.platform.server import PlatformServer
-from repro.platform.store import DurableTaskStore
 from repro.simulation import ExperimentRunner
 from repro.storage import CODECS, ConsistentHashEngine, LogStructuredEngine, SqliteEngine
 from repro.storage.ring import RING_META_TABLE, _INDEX_KEY_PREFIX
 from repro.utils.timing import Stopwatch
-from repro.workers.pool import WorkerPool
 
 from record import write_trajectory
 
 pytestmark = pytest.mark.slow
-
-NUM_TASKS = 10_000
-SMOKE_TASKS = 200
-PAGE_SIZE = 500
-REDUNDANCY = 1
-MIN_SIMULATE_SPEEDUP = 2.0
-MIN_TOTAL_SPEEDUP = 1.5
 
 NUM_KEYS = 20_000
 SMOKE_KEYS = 400
@@ -73,70 +51,6 @@ LOG_RECORDS = 5_000
 SMOKE_LOG_RECORDS = 200
 
 TABLE = "items"
-
-
-# -- group commit ---------------------------------------------------------------
-
-
-def run_store_mode(group_commit: bool, base_dir: str, num_tasks: int, page_size: int) -> dict:
-    """The E10 durable-sqlite workload with the given commit policy."""
-    os.makedirs(base_dir, exist_ok=True)
-    db_path = os.path.join(base_dir, "platform.db")
-    pool = WorkerPool.from_config(WorkerPoolConfig(size=50, mean_accuracy=0.9, seed=7))
-    server = PlatformServer(
-        worker_pool=pool,
-        config=PlatformConfig(seed=7),
-        store=DurableTaskStore(
-            SqliteEngine(db_path), owns_engine=True, group_commit=group_commit
-        ),
-    )
-    client = PlatformClient(server)
-    project = client.create_project("hot-path-bench")
-    specs = [
-        {
-            "info": {"url": f"img-{i:05d}", "_true_answer": "Yes"},
-            "n_assignments": REDUNDANCY,
-            "dedup_key": f"obj-{i:05d}",
-        }
-        for i in range(num_tasks)
-    ]
-
-    with Stopwatch() as publish:
-        tasks = client.create_tasks(project.project_id, specs)
-    with Stopwatch() as simulate:
-        created = client.simulate_work(project_id=project.project_id)
-    with Stopwatch() as collect:
-        collected_runs = sum(
-            len(runs)
-            for _, runs in client.iter_task_runs_for_project(
-                project.project_id, page_size
-            )
-        )
-
-    assert len(tasks) == num_tasks
-    assert created == num_tasks * REDUNDANCY
-    assert collected_runs == num_tasks * REDUNDANCY
-    server.close()
-
-    # Durability proof: everything survives a cold reopen of the file.
-    survivor = DurableTaskStore(SqliteEngine(db_path), owns_engine=True)
-    counts = survivor.counts()
-    assert counts["tasks"] == num_tasks
-    assert counts["task_runs"] == num_tasks * REDUNDANCY
-    survivor.close()
-
-    total = publish.elapsed + simulate.elapsed + collect.elapsed
-    return {
-        "group_commit": group_commit,
-        "tasks": num_tasks,
-        "publish_seconds": round(publish.elapsed, 3),
-        "simulate_seconds": round(simulate.elapsed, 3),
-        "collect_seconds": round(collect.elapsed, 3),
-        "total_seconds": round(total, 3),
-        "simulate_ktasks_per_s": round(
-            num_tasks / max(simulate.elapsed, 1e-9) / 1000, 1
-        ),
-    }
 
 
 # -- ring reopen ----------------------------------------------------------------
@@ -312,45 +226,14 @@ def run_log_append(base_dir: str, num_records: int) -> dict:
 
 def test_hot_path_speedups(record_table, tmp_path, bench_scale):
     smoke = bench_scale == "smoke"
-    num_tasks = SMOKE_TASKS if smoke else NUM_TASKS
     num_keys = SMOKE_KEYS if smoke else NUM_KEYS
     num_payloads = SMOKE_PAYLOADS if smoke else NUM_PAYLOADS
     log_records = SMOKE_LOG_RECORDS if smoke else LOG_RECORDS
-    page_size = 50 if smoke else PAGE_SIZE
 
-    serial = run_store_mode(False, str(tmp_path / "serial"), num_tasks, page_size)
-    grouped = run_store_mode(True, str(tmp_path / "group"), num_tasks, page_size)
-    simulate_speedup = round(
-        serial["simulate_seconds"] / max(grouped["simulate_seconds"], 1e-9), 2
-    )
-    total_speedup = round(
-        serial["total_seconds"] / max(grouped["total_seconds"], 1e-9), 2
-    )
     reopen = run_ring_reopen(str(tmp_path / "ring"), num_keys, FRESH_KEYS)
     codecs = run_codec_comparison(num_payloads)
     log_append = run_log_append(str(tmp_path / "log"), log_records)
 
-    runner = ExperimentRunner(
-        f"E16 — hot-path speed program ({num_tasks} tasks sqlite: group commit "
-        f"simulate {simulate_speedup}x / total {total_speedup}x; {num_keys}-key "
-        f"ring reopen snapshot {reopen['snapshot_vs_rebuild']}x over rebuild)"
-    )
-    sweep = runner.run([{}], lambda point: {})
-    sweep.rows = [serial, grouped]
-    record_table(
-        "E16_group_commit",
-        sweep.to_table(
-            columns=[
-                "group_commit",
-                "tasks",
-                "publish_seconds",
-                "simulate_seconds",
-                "collect_seconds",
-                "total_seconds",
-                "simulate_ktasks_per_s",
-            ]
-        ),
-    )
     reopen_runner = ExperimentRunner(
         f"E16 — ring reopen paths ({num_keys} keys + {FRESH_KEYS} unsnapshotted, "
         f"{RING_MEMBERS} sqlite members)"
@@ -395,14 +278,6 @@ def test_hot_path_speedups(record_table, tmp_path, bench_scale):
     )
 
     if not smoke:
-        assert simulate_speedup >= MIN_SIMULATE_SPEEDUP, (
-            f"group commit sped simulate up only {simulate_speedup}x "
-            f"(required >= {MIN_SIMULATE_SPEEDUP}x)"
-        )
-        assert total_speedup >= MIN_TOTAL_SPEEDUP, (
-            f"group commit sped the workload up only {total_speedup}x "
-            f"(required >= {MIN_TOTAL_SPEEDUP}x)"
-        )
         assert reopen["snapshot_vs_rebuild"] >= MIN_REOPEN_RATIO, (
             f"snapshot reopen is only {reopen['snapshot_vs_rebuild']}x faster "
             f"than the rebuild (required >= {MIN_REOPEN_RATIO}x)"
@@ -421,9 +296,6 @@ def test_hot_path_speedups(record_table, tmp_path, bench_scale):
             "E16",
             {
                 "scale": bench_scale,
-                "group_commit": [serial, grouped],
-                "simulate_speedup": simulate_speedup,
-                "total_speedup": total_speedup,
                 "ring_reopen": reopen,
                 "codecs": codecs,
                 "log_append": log_append,

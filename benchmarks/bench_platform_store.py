@@ -15,8 +15,9 @@ pass, one streaming collection — against four backends:
 Contents are asserted identical across backends (same task count, same
 per-task answer count), so the rows compare equal work.  What the table
 makes measurable is the price of a restartable platform: publish stays
-batched (O(1) engine round-trips), while ``simulate_work`` pays one durable
-append per task — the trade a crash/recovery scenario buys with.
+batched (O(1) engine round-trips) and ``simulate_work`` pays four durable
+writes per 500-task page (one id reservation, its counter hint, one bulk
+run append, one bulk completion stamp).
 
 Run ``pytest benchmarks/bench_platform_store.py -q --bench-scale=smoke`` for
 a seconds-long sanity pass at toy scale.

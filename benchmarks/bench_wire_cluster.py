@@ -141,7 +141,6 @@ def _spawn_cluster(base_dir: str, servers: int) -> list:
             pool_size=POOL_SIZE,
             accuracy=ACCURACY,
             shared=servers > 1,
-            append_batch_size=8,
         )
         for _ in range(servers)
     ]

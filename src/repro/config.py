@@ -137,17 +137,6 @@ class PlatformConfig:
         pipeline_batch_size: For the pipelined transport, how many task
             specs each in-flight ``create_tasks`` sub-batch carries (also
             the default slice size of pipelined iteration).
-        append_batch_size: For a durable store, how many task-run appends
-            are coalesced into one engine write (``simulate_work``'s
-            write-behind batch).  1, the default, writes every append
-            through immediately.
-        group_commit: For a durable store, defer the engine's durability
-            barrier across each multi-table write wave (task publishes,
-            coalesced run appends) and commit the whole wave with one
-            ``commit_group`` — one fsync per storage member per wave
-            instead of one per write.  A crash loses at most the last
-            uncommitted wave, never a torn prefix of it; the idempotent
-            publish/ingest paths heal a rerun.  Off by default.
     """
 
     name: str = "simulated-pybossa"
@@ -165,8 +154,6 @@ class PlatformConfig:
     retry_backoff_seconds: float | None = None
     max_in_flight: int = 8
     pipeline_batch_size: int = 500
-    append_batch_size: int = 1
-    group_commit: bool = False
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,6 @@ class CrowdContext:
             seed=platform.seed,
             pool_size=self.config.workers.size,
             accuracy=self.config.workers.mean_accuracy,
-            append_batch_size=platform.append_batch_size,
         )
         return WireClient(
             handle.host, handle.port, owned_server=handle, **client_kwargs

@@ -33,6 +33,7 @@ Result retrieval comes in three shapes, from smallest to largest scope:
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Any, Callable, Iterator, Sequence
 
@@ -313,10 +314,9 @@ class PlatformServer:
         # liveness fast path) — treat that as won: keep our task, and let
         # add_tasks overwrite the mapping, exactly as the store contract
         # for stale keys has always promised.
+        ours = dict(keyed)
         lost = {
-            key: task_id
-            for key, task_id in winners.items()
-            if task_id != dict(keyed)[key]
+            key: task_id for key, task_id in winners.items() if task_id != ours[key]
         }
         winner_tasks: dict[int, Task] = {}
         if lost:
@@ -387,7 +387,7 @@ class PlatformServer:
         task = self.get_task(task_id)
         task.n_assignments += extra
         task.completed_at = None
-        self.store.update_task(task)
+        self.store.update_tasks([task])
         return task
 
     def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
@@ -407,12 +407,11 @@ class PlatformServer:
                     f"for task {task_id}"
                 )
             items.append((self.get_task(task_id), extra))
-        tasks: list[Task] = []
         for task, extra in items:
             task.n_assignments += extra
             task.completed_at = None
-            self.store.update_task(task)
-            tasks.append(task)
+        tasks = [task for task, _ in items]
+        self.store.update_tasks(tasks)
         return tasks
 
     # -- task runs --------------------------------------------------------------------
@@ -545,13 +544,6 @@ class PlatformServer:
                 return
             cursor = page[-1]
 
-    def _iter_tasks(self, project_id: int) -> Iterator[Task]:
-        """Walk a project's tasks in publication order, one store page at a time."""
-        for page in self._iter_task_id_pages(project_id):
-            for task in self.store.get_tasks(page):
-                if task is not None:
-                    yield task
-
     def _iter_task_run_counts(self, project_id: int) -> Iterator[tuple[Task, int]]:
         """Walk ``(task, collected-run count)`` pairs in bounded memory.
 
@@ -598,6 +590,9 @@ class PlatformServer:
     ) -> int:
         """Have simulated workers answer pending assignments.
 
+        The work proceeds in page-wise *waves* (see :meth:`_fill_page`), and
+        every answer it created is on the store when the call returns.
+
         Args:
             project_id: Restrict the simulation to one project (all when None).
             max_assignments: Stop after this many new answers (no limit when
@@ -613,49 +608,94 @@ class PlatformServer:
         else:
             self.get_project(project_id)
             project_ids = [project_id]
-        try:
-            for pid in project_ids:
-                for task in self._iter_tasks(pid):
-                    created += self._fill_task(task, max_assignments, created)
-                    if max_assignments is not None and created >= max_assignments:
-                        return created
-            return created
-        finally:
-            # With a run-append batch (PlatformConfig.append_batch_size >
-            # 1) the per-task writes above may still sit in the store's
-            # write-behind buffer; flushing the appends restores the
-            # call's durability contract — when simulate_work returns,
-            # every answer it created is on the engine.  (Not a full
-            # store flush: write-through stores must not pay an extra
-            # engine commit/fsync per call.)
-            self.store.flush_appends()
+        for pid in project_ids:
+            for page in self._iter_task_id_pages(pid):
+                budget = None if max_assignments is None else max_assignments - created
+                created += self._fill_page(page, budget)
+                if max_assignments is not None and created >= max_assignments:
+                    return created
+        return created
 
-    def _fill_task(self, task: Task, max_assignments: int | None, created_so_far: int) -> int:
-        """Fill one task's missing assignments; return answers created.
+    def _fill_page(self, task_ids: Sequence[int], budget: int | None) -> int:
+        """One wave: fill the missing assignments of a page of tasks.
 
-        All new runs of the task land in the store as one ``append_runs``
-        batch — on a durable store that is one engine write per task, and a
-        crash between tasks leaves whole-task prefixes that a rerun of
-        ``simulate_work`` tops up idempotently.
+        A stamped task (``completed_at`` set) is complete by construction,
+        so only unstamped tasks have their runs read.  Every missing answer
+        of the page is drawn in memory — task by task, assignment by
+        assignment, the order the RNG and the clock have always seen — and
+        then lands in three store writes: one run-id reservation (the final
+        clock riding along), one bulk ``append_runs`` and one bulk
+        ``update_tasks`` stamping each finished task with its own last
+        answer's submission time.  *budget* caps the answers drawn (None is
+        uncapped); the wave flushes whatever was drawn before the cap.
+
+        A crash can fall in three windows, each healed by a rerun's
+        idempotent top-up: after the reservation (an unused id gap, never a
+        reused id), after some or all runs landed without their completion
+        stamps (the rerun re-reads those tasks, tops up what is missing and
+        stamps the rest), or before anything was written.
+
+        Returns the number of answers created.
         """
-        runs = self.store.runs_for_task(task.task_id)
-        missing = task.n_assignments - len(runs)
-        if missing <= 0:
-            if task.completed_at is None:
+        open_tasks = [
+            task
+            for task in self.store.get_tasks(task_ids)
+            if task is not None and task.completed_at is None
+        ]
+        if not open_tasks:
+            return 0
+        stored_runs = self.store.runs_for_tasks([task.task_id for task in open_tasks])
+        new_runs: dict[int, list[TaskRun]] = {}
+        stamps: list[tuple[Task, float]] = []
+        created = 0
+        for task, runs in zip(open_tasks, stored_runs):
+            missing = task.n_assignments - len(runs)
+            if missing <= 0:
                 # Heals the crash window between a durable append_runs and
-                # its update_task: the answers landed but the completion
+                # its update_tasks: the answers landed but the completion
                 # stamp did not, and no further answers will ever be
                 # created to set it.  Stamp with the final answer's own
                 # submission time, never before it.
-                task.completed_at = max(
-                    (run.submitted_at for run in runs), default=self.clock.now
+                stamps.append(
+                    (task, max((run.submitted_at for run in runs), default=self.clock.now))
                 )
-                self.store.update_task(task)
-            return 0
-        if max_assignments is not None:
-            missing = min(missing, max(0, max_assignments - created_so_far))
-            if missing == 0:
-                return 0
+            elif budget is None or created < budget:
+                if budget is not None:
+                    missing = min(missing, budget - created)
+                answers = self._draw_answers(task, runs, missing)
+                new_runs[task.task_id] = answers
+                created += missing
+                if len(runs) + missing >= task.n_assignments:
+                    stamps.append((task, answers[-1].submitted_at))
+            if budget is not None and created >= budget:
+                break
+        if new_runs:
+            # Ids are reserved after the answers so the store can persist the
+            # advanced clock in the same counter write; the reservation still
+            # lands before the runs themselves, so a crash in between leaves
+            # an id gap, never a reused id.
+            first_run_id = self.store.allocate_run_ids(created, clock_time=self.clock.now)
+            for run_id, run in enumerate(
+                itertools.chain.from_iterable(new_runs.values()), first_run_id
+            ):
+                run.run_id = run_id
+            self.store.append_runs(new_runs)
+        if stamps:
+            # Stamped only now: a task must never read as complete before
+            # its answers are on the store.
+            for task, completed_at in stamps:
+                task.completed_at = completed_at
+            self.store.update_tasks([task for task, _ in stamps])
+        return created
+
+    def _draw_answers(
+        self, task: Task, runs: Sequence[TaskRun], missing: int
+    ) -> list[TaskRun]:
+        """Draw *missing* answers for *task*, advancing the clock per answer.
+
+        The runs come back unnumbered (``run_id`` 0): the caller reserves
+        ids for the whole wave only once every answer is drawn.
+        """
         already_assigned = {run.worker_id for run in runs}
         true_answer = self.answer_oracle(task.info)
         candidates = list(task.info.get("candidates") or [])
@@ -665,7 +705,7 @@ class PlatformServer:
             # always have something to pick from.
             candidates = ["Yes", "No"] if true_answer is None else [true_answer, "No"]
         task_type = task.info.get("task_type")
-        answers: list[tuple[str, Any, float, float]] = []
+        answers: list[TaskRun] = []
         for _ in range(missing):
             collected = len(runs) + len(answers)
             worker = self._pick_worker(
@@ -679,30 +719,19 @@ class PlatformServer:
                 task_type=task_type,
             )
             self.clock.advance(latency)
-            answers.append((worker.worker_id, answer, latency, self.clock.now))
-        # Ids are reserved after the answers so the store can persist the
-        # advanced clock in the same counter write; the reservation still
-        # lands before the runs themselves, so a crash in between leaves an
-        # id gap, never a reused id.
-        first_run_id = self.store.allocate_run_ids(missing, clock_time=self.clock.now)
-        new_runs = [
-            TaskRun(
-                run_id=first_run_id + offset,
-                task_id=task.task_id,
-                project_id=task.project_id,
-                worker_id=worker_id,
-                answer=answer,
-                submitted_at=submitted_at,
-                latency_seconds=latency,
-                assignment_order=len(runs) + offset + 1,
+            answers.append(
+                TaskRun(
+                    run_id=0,
+                    task_id=task.task_id,
+                    project_id=task.project_id,
+                    worker_id=worker.worker_id,
+                    answer=answer,
+                    submitted_at=self.clock.now,
+                    latency_seconds=latency,
+                    assignment_order=collected + 1,
+                )
             )
-            for offset, (worker_id, answer, latency, submitted_at) in enumerate(answers)
-        ]
-        self.store.append_runs(task.task_id, new_runs)
-        if len(runs) + len(new_runs) >= task.n_assignments and task.completed_at is None:
-            task.completed_at = self.clock.now
-            self.store.update_task(task)
-        return len(new_runs)
+        return answers
 
     def _pick_worker(self, task: Task, exclude: set[str], remaining: int):
         """Pick a worker for *task* honouring distinct-worker redundancy."""

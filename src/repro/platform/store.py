@@ -59,7 +59,7 @@ from __future__ import annotations
 import abc
 import bisect
 import threading
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.config import PlatformConfig
 from repro.exceptions import ConfigurationError, DuplicateKeyError, PlatformError
@@ -201,8 +201,9 @@ class TaskStore(abc.ABC):
         """Return one task (or None) per requested id, in request order."""
 
     @abc.abstractmethod
-    def update_task(self, task: Task) -> None:
-        """Persist mutated fields of an existing task (redundancy, completion)."""
+    def update_tasks(self, tasks: Sequence[Task]) -> None:
+        """Persist mutated fields of existing *tasks* (redundancy,
+        completion) as one durable write."""
 
     @abc.abstractmethod
     def remove_task(self, task: Task) -> None:
@@ -291,8 +292,9 @@ class TaskStore(abc.ABC):
         """Bulk :meth:`runs_for_task`: one run list per id, in request order."""
 
     @abc.abstractmethod
-    def append_runs(self, task_id: int, runs: Sequence[TaskRun]) -> None:
-        """Append *runs* to the task's answer list (one durable write)."""
+    def append_runs(self, runs_by_task: Mapping[int, Sequence[TaskRun]]) -> None:
+        """Append each task's new runs to its answer list — one durable
+        write for the whole batch, however many tasks it names."""
 
     # -- derived reads shared by both implementations ----------------------
 
@@ -317,15 +319,6 @@ class TaskStore(abc.ABC):
     def flush(self) -> None:
         """Force buffered writes to durable storage (no-op by default)."""
 
-    def flush_appends(self) -> None:
-        """Flush only buffered run appends, if any (no-op by default).
-
-        Cheaper sibling of :meth:`flush` for the end of ``simulate_work``:
-        it restores the answers-durable-on-return contract without forcing
-        an engine-level flush (an extra commit/fsync) on stores that write
-        every append through anyway.
-        """
-
     def close(self) -> None:
         """Release resources held by the store (no-op by default)."""
 
@@ -335,7 +328,7 @@ class MemoryTaskStore(TaskStore):
 
     Model objects are stored by reference (a task returned by the server is
     the stored task), which is exactly what the in-process simulator always
-    did; :meth:`update_task` is therefore a no-op for objects obtained from
+    did; :meth:`update_tasks` is therefore a no-op for objects obtained from
     this store.
     """
 
@@ -437,8 +430,9 @@ class MemoryTaskStore(TaskStore):
     def get_tasks(self, task_ids: Sequence[int]) -> list[Task | None]:
         return [self._tasks.get(task_id) for task_id in task_ids]
 
-    def update_task(self, task: Task) -> None:
-        self._tasks[task.task_id] = task
+    def update_tasks(self, tasks: Sequence[Task]) -> None:
+        for task in tasks:
+            self._tasks[task.task_id] = task
 
     def remove_task(self, task: Task) -> None:
         self._tasks_by_project[task.project_id].remove(task.task_id)
@@ -485,8 +479,9 @@ class MemoryTaskStore(TaskStore):
     def runs_for_tasks(self, task_ids: Sequence[int]) -> list[list[TaskRun]]:
         return [list(self._task_runs.get(task_id, [])) for task_id in task_ids]
 
-    def append_runs(self, task_id: int, runs: Sequence[TaskRun]) -> None:
-        self._task_runs.setdefault(task_id, []).extend(runs)
+    def append_runs(self, runs_by_task: Mapping[int, Sequence[TaskRun]]) -> None:
+        for task_id, runs in runs_by_task.items():
+            self._task_runs.setdefault(task_id, []).extend(runs)
 
     def run_count(self, task_id: int) -> int:
         return len(self._task_runs.get(task_id, ()))
@@ -509,9 +504,10 @@ class DurableTaskStore(TaskStore):
 
     See the module docstring for the table layout and recovery invariants.
     Writes are batched through the engine's ``put_many`` wherever the server
-    hands over a batch (``create_tasks``, per-task run appends), so the
-    durable cost of the bulk execution path stays O(1) engine round-trips in
-    the batch size.
+    hands over a batch (``create_tasks``, a ``simulate_work`` page's run
+    appends and completion stamps), so the durable cost of the bulk
+    execution path stays O(1) engine round-trips in the batch size.  Every
+    write is committed when the verb returns.
     """
 
     store_name = "durable"
@@ -521,9 +517,7 @@ class DurableTaskStore(TaskStore):
         engine: StorageEngine,
         namespace: str = "platform",
         owns_engine: bool = False,
-        append_batch_size: int = 1,
         shared: bool = False,
-        group_commit: bool = False,
     ) -> None:
         """Open the store on *engine*.
 
@@ -541,45 +535,11 @@ class DurableTaskStore(TaskStore):
                 single-writer read caches (counters, per-project id lists,
                 run totals, latest timestamp) that would otherwise serve
                 stale answers about another writer's data.
-            append_batch_size: Run appends per durable write.  1 (the
-                default) writes every :meth:`append_runs` through
-                immediately — the seed behaviour.  Larger values buffer
-                appended runs in memory and flush them as one engine
-                ``put_many`` once *append_batch_size* runs have
-                accumulated (and on :meth:`flush`/:meth:`close`), which
-                amortises ``simulate_work``'s one-durable-write-per-task
-                cost across tasks.  Reads merge the buffer transparently;
-                a crash can lose at most one buffered batch of answers,
-                which a rerun of ``simulate_work`` re-creates (the same
-                top-up idempotence that heals a crash between per-task
-                writes).
-            group_commit: Defer the engine's durability barrier across each
-                write wave (a task publish's multi-table batches, each run
-                append) and commit with one ``commit_group`` per wave /
-                flush point — one fsync per touched storage member instead
-                of one per write.  Reads on this handle (and other handles
-                on the same engine object) merge deferred writes
-                transparently; a crash loses at most the uncommitted tail
-                of waves, which the idempotent publish/ingest paths
-                re-create on rerun.  Forced off in ``shared`` mode: a
-                *separate process* on the same database file can neither
-                see another writer's uncommitted wave nor write around its
-                open transaction.
         """
-        if append_batch_size < 1:
-            raise ValueError(
-                f"append_batch_size must be >= 1, got {append_batch_size}"
-            )
         self._engine = engine
         self._namespace = namespace
         self._owns_engine = owns_engine
         self._shared = shared
-        self._append_batch_size = append_batch_size
-        self._group_commit = bool(group_commit) and not shared
-        #: Write-behind buffer of appended-but-unflushed runs, as the
-        #: run-dict lists the runs table stores, keyed like the table.
-        self._pending_runs: dict[str, list[dict[str, Any]]] = {}
-        self._pending_run_count = 0
         self._projects_table = f"{namespace}::projects"
         self._names_table = f"{namespace}::project_names"
         self._tasks_table = f"{namespace}::tasks"
@@ -596,9 +556,6 @@ class DurableTaskStore(TaskStore):
         #: Cached next-id counters; authoritative copy lives in the meta
         #: table and is re-read lazily after a reopen.
         self._counters: dict[str, int] = {}
-        #: Counters whose frontier this store instance has established with
-        #: a real lease — the group-commit fast path's entry ticket.
-        self._leased_counters: set[str] = set()
         #: Cached total run count; recovered by one scan on first use.
         self._total_runs: int | None = None
         #: Cached copy of the persisted latest-timestamp meta record.
@@ -647,28 +604,7 @@ class DurableTaskStore(TaskStore):
         crash between claim and hint write leaves an unused id gap, never a
         reused id — the same gap-only guarantee the single-writer path had.
         A clock record rides in the same hint batch for free.
-
-        Under ``group_commit`` (single-writer by construction — the flag is
-        forced off in shared mode) the lease runs once per counter per
-        store lifetime, to establish the frontier past any stale hint a
-        previous crash left behind.  After that the counter record is
-        authoritative for this writer: allocations bump it in memory and
-        defer the write, so the hot per-task id reservation stops paying a
-        commit.  The bump and the records written under the reserved ids
-        ride the same deferred wave, so any barrier commits them together —
-        a crash still leaves at most an id gap, never a reused id.
         """
-        if self._group_commit and counter in self._leased_counters:
-            next_id = self._counters.get(counter)
-            if next_id is None:  # pragma: no cover — leasing seeds the cache
-                next_id = int(self._engine.get(self._meta_table, counter, default=1))
-            self._counters[counter] = next_id + count
-            items: list[tuple[str, Any]] = [(counter, next_id + count)]
-            if clock_time is not None and clock_time > self.latest_timestamp():
-                self._latest_timestamp = clock_time
-                items.append(("latest_timestamp", clock_time))
-            self._engine.put_many(self._meta_table, items, defer_commit=True)
-            return next_id
         next_id = self._counters.get(counter)
         if next_id is None or self._shared:
             next_id = int(self._engine.get(self._meta_table, counter, default=1))
@@ -681,26 +617,19 @@ class DurableTaskStore(TaskStore):
                 claimed = int(self._engine.get(self._meta_table, lease_key, default=1))
                 hint = int(self._engine.get(self._meta_table, counter, default=1))
                 next_id = max(next_id + max(1, claimed), hint)
-        self._leased_counters.add(counter)
         self._counters[counter] = next_id + count
         items: list[tuple[str, Any]] = [(counter, next_id + count)]
         if clock_time is not None and clock_time > self.latest_timestamp():
             self._latest_timestamp = clock_time
             items.append(("latest_timestamp", clock_time))
-        # The hint is advisory (see above), so it may ride to the next group
-        # barrier; the lease itself committed through put_new regardless.
-        self._engine.put_many(self._meta_table, items, defer_commit=self._group_commit)
+        self._engine.put_many(self._meta_table, items)
         return next_id
 
     def _record_latest(self, clock_time: float) -> None:
         """Persist *clock_time* as the latest timestamp when it advances it."""
         if clock_time > self.latest_timestamp():
             self._latest_timestamp = clock_time
-            self._engine.put_many(
-                self._meta_table,
-                [("latest_timestamp", clock_time)],
-                defer_commit=self._group_commit,
-            )
+            self._engine.put_many(self._meta_table, [("latest_timestamp", clock_time)])
 
     def latest_timestamp(self) -> float:
         if self._latest_timestamp is None or self._shared:
@@ -777,7 +706,6 @@ class DurableTaskStore(TaskStore):
         # be retried — the project stays discoverable until everything it
         # owns is gone.  One batched delete per table instead of one commit
         # per task per table.
-        self._flush_pending_runs()
         index_table = self._index_table(project.project_id)
         keys = [
             self._id_key(task_id)
@@ -826,44 +754,24 @@ class DurableTaskStore(TaskStore):
                 dedup_items.setdefault(task.project_id, []).append(
                     (dedup_key, task.task_id)
                 )
-        # Under group commit the whole publish wave shares one durability
-        # barrier: on a single-file engine the wave then commits atomically
-        # (strictly stronger than the between-batches ordering above); on a
-        # multi-member engine a crash may tear the wave *across* members,
-        # which the same replay paths heal — the keyed replay resolves or
-        # re-creates, and ensure_indexed repairs swallowed index entries.
-        defer = self._group_commit
         for project_id, items in dedup_items.items():
-            self._engine.put_many(
-                self._dedup_table(project_id), items, defer_commit=defer
-            )
-        self._engine.put_many(
-            self._tasks_table,
-            [(self._id_key(task.task_id), task.to_dict()) for task in tasks],
-            defer_commit=defer,
-        )
+            self._engine.put_many(self._dedup_table(project_id), items)
+        self._put_task_records(tasks)
         for project_id, items in index_items.items():
-            self._engine.put_many(
-                self._index_table(project_id), items, defer_commit=defer
-            )
+            self._engine.put_many(self._index_table(project_id), items)
             cached = self._project_ids.get(project_id)
             if cached is not None:
                 # Fresh ids come from the monotonic counter, so they all
                 # sort after anything already cached.
                 cached.extend(task_id for _, task_id in items)
         self._record_latest(max(task.created_at for task in tasks))
-        if defer:
-            self._engine.commit_group()
 
     def stage_tasks(self, tasks: Sequence[Task]) -> None:
         if not tasks:
             return
         # Record only (see the base-class contract): one durable batch that
         # makes this writer's candidates resolvable by a racing claimer.
-        self._engine.put_many(
-            self._tasks_table,
-            [(self._id_key(task.task_id), task.to_dict()) for task in tasks],
-        )
+        self._put_task_records(tasks)
 
     def discard_staged(self, tasks: Sequence[Task]) -> None:
         self._engine.delete_many(
@@ -904,11 +812,18 @@ class DurableTaskStore(TaskStore):
             for payload in payloads
         ]
 
-    def update_task(self, task: Task) -> None:
-        self._engine.put(self._tasks_table, self._id_key(task.task_id), task.to_dict())
+    def _put_task_records(self, tasks: Sequence[Task]) -> None:
+        """Write *tasks*' records as one engine batch."""
+        self._engine.put_many(
+            self._tasks_table,
+            [(self._id_key(task.task_id), task.to_dict()) for task in tasks],
+        )
+
+    def update_tasks(self, tasks: Sequence[Task]) -> None:
+        if tasks:
+            self._put_task_records(tasks)
 
     def remove_task(self, task: Task) -> None:
-        self._flush_pending_runs()
         key = self._id_key(task.task_id)
         if self._total_runs is not None:
             self._total_runs -= len(self._engine.get(self._runs_table, key, default=[]))
@@ -992,96 +907,52 @@ class DurableTaskStore(TaskStore):
     def _decode_runs(self, payload: Any) -> list[TaskRun]:
         return [TaskRun.from_dict(entry) for entry in payload]
 
-    def _merged_payload(self, key: str, stored: Any) -> list[dict[str, Any]]:
-        """Return *stored* with any buffered (write-behind) runs appended."""
-        pending = self._pending_runs.get(key)
-        if not pending:
-            return stored
-        return list(stored) + pending
-
     def runs_for_task(self, task_id: int) -> list[TaskRun]:
-        key = self._id_key(task_id)
-        payload = self._engine.get(self._runs_table, key, default=[])
-        return self._decode_runs(self._merged_payload(key, payload))
+        payload = self._engine.get(self._runs_table, self._id_key(task_id), default=[])
+        return self._decode_runs(payload)
 
     def runs_for_tasks(self, task_ids: Sequence[int]) -> list[list[TaskRun]]:
         keys = [self._id_key(task_id) for task_id in task_ids]
         payloads = self._engine.get_many(self._runs_table, keys, default=[])
-        return [
-            self._decode_runs(self._merged_payload(key, payload))
-            for key, payload in zip(keys, payloads)
-        ]
+        return [self._decode_runs(payload) for payload in payloads]
 
-    def append_runs(self, task_id: int, runs: Sequence[TaskRun]) -> None:
-        if not runs:
+    def append_runs(self, runs_by_task: Mapping[int, Sequence[TaskRun]]) -> None:
+        """One ``get_many`` to fetch the touched tasks' stored run lists, one
+        ``put_many`` to write them back extended — O(1) engine round-trips
+        no matter how many tasks the batch names.  The write is atomic per
+        engine batch semantics, so a crash lands either the whole batch or
+        (on the crash-stepping and partitioned engines) whole tasks of it;
+        both heal by re-running ``simulate_work``.
+        """
+        if not runs_by_task:
             return
-        key = self._id_key(task_id)
-        if self._append_batch_size > 1:
-            self._pending_runs.setdefault(key, []).extend(
-                run.to_dict() for run in runs
-            )
-            self._pending_run_count += len(runs)
-            if self._total_runs is not None:
-                self._total_runs += len(runs)
-            if self._pending_run_count >= self._append_batch_size:
-                self._flush_pending_runs()
-            return
+        keys = [self._id_key(task_id) for task_id in runs_by_task]
+        stored_lists = self._engine.get_many(self._runs_table, keys, default=[])
         # Copy before extending: the memory engine hands out its stored list
         # by reference, and the stored value must only change via put.
-        stored = list(self._engine.get(self._runs_table, key, default=[]))
-        stored.extend(run.to_dict() for run in runs)
-        # Under group commit the append rides to the next barrier (a lease
-        # allocation, an explicit flush, or close) instead of paying its own
-        # commit — the simulate loop's hot path.  Reads on this engine see
-        # the deferred write immediately.
-        self._engine.put_many(
-            self._runs_table, [(key, stored)], defer_commit=self._group_commit
-        )
-        if self._total_runs is not None:
-            self._total_runs += len(runs)
-
-    def _flush_pending_runs(self) -> None:
-        """Flush the write-behind append buffer as one engine batch.
-
-        One ``get_many`` to fetch the touched tasks' stored run lists, one
-        ``put_many`` to write them back extended — O(1) engine round-trips
-        per flush no matter how many tasks contributed appends.  The write
-        is atomic per engine batch semantics, so a crash loses either the
-        whole buffer or (on the crash-stepping engines) a key-prefix of
-        it; both heal by re-running ``simulate_work``.
-        """
-        if not self._pending_runs:
-            return
-        keys = list(self._pending_runs)
-        stored_lists = self._engine.get_many(self._runs_table, keys, default=[])
         self._engine.put_many(
             self._runs_table,
             [
-                (key, list(stored) + self._pending_runs[key])
-                for key, stored in zip(keys, stored_lists)
+                (key, list(stored) + [run.to_dict() for run in runs])
+                for key, stored, runs in zip(keys, stored_lists, runs_by_task.values())
             ],
-            defer_commit=self._group_commit,
         )
-        self._pending_runs = {}
-        self._pending_run_count = 0
+        if self._total_runs is not None:
+            self._total_runs += sum(len(runs) for runs in runs_by_task.values())
 
     def run_count(self, task_id: int) -> int:
-        key = self._id_key(task_id)
-        payload = self._engine.get(self._runs_table, key, default=[])
-        return len(payload) + len(self._pending_runs.get(key, ()))
+        return len(self._engine.get(self._runs_table, self._id_key(task_id), default=[]))
 
     def run_counts_for_tasks(self, task_ids: Sequence[int]) -> list[int]:
         keys = [self._id_key(task_id) for task_id in task_ids]
-        payloads = self._engine.get_many(self._runs_table, keys, default=[])
         return [
-            len(payload) + len(self._pending_runs.get(key, ()))
-            for key, payload in zip(keys, payloads)
+            len(payload)
+            for payload in self._engine.get_many(self._runs_table, keys, default=[])
         ]
 
     # -- introspection and lifecycle ---------------------------------------
 
     def _count_total_runs(self) -> int:
-        self._flush_pending_runs()
         if self._shared:
             # Other writers append runs this handle never sees; count what
             # is actually on the engine, every time.
@@ -1119,22 +990,9 @@ class DurableTaskStore(TaskStore):
         return description
 
     def flush(self) -> None:
-        self._flush_pending_runs()
-        if self._group_commit:
-            self._engine.commit_group()
         self._engine.flush()
 
-    def flush_appends(self) -> None:
-        self._flush_pending_runs()
-        if self._group_commit:
-            self._engine.commit_group()
-
     def close(self) -> None:
-        self._flush_pending_runs()
-        if self._group_commit:
-            # The engine may outlive this store handle (shared-engine
-            # contexts): leave no wave uncommitted behind us.
-            self._engine.commit_group()
         if self._owns_engine:
             self._engine.close()
 
@@ -1163,18 +1021,9 @@ def open_task_store(
         return MemoryTaskStore()
     if config.store == "durable":
         if config.store_engine is not None:
-            return DurableTaskStore(
-                open_engine(config.store_engine),
-                owns_engine=True,
-                append_batch_size=config.append_batch_size,
-                group_commit=config.group_commit,
-            )
+            return DurableTaskStore(open_engine(config.store_engine), owns_engine=True)
         if shared_engine is not None:
-            return DurableTaskStore(
-                shared_engine,
-                append_batch_size=config.append_batch_size,
-                group_commit=config.group_commit,
-            )
+            return DurableTaskStore(shared_engine)
         raise ConfigurationError(
             "PlatformConfig(store='durable') needs a store_engine (or an engine "
             "to share, as CrowdContext provides)"

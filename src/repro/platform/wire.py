@@ -726,7 +726,6 @@ def spawn_server(
     accuracy: float = 0.95,
     shared: bool = False,
     namespace: str = "platform",
-    append_batch_size: int = 1,
     port_file: str | None = None,
     timeout: float = 20.0,
 ) -> WireServerHandle:
@@ -745,7 +744,6 @@ def spawn_server(
         shared: Mark the durable store as concurrently written by other
             server processes (disables its single-writer caches).
         namespace: Durable store table-name prefix.
-        append_batch_size: Run appends per durable write.
         port_file: Where the server publishes its bound port; a throwaway
             sibling of *db* (or of a temp dir) when omitted.
         timeout: Seconds to wait for the server to come up.
@@ -780,8 +778,6 @@ def spawn_server(
         str(accuracy),
         "--namespace",
         namespace,
-        "--append-batch-size",
-        str(append_batch_size),
     ]
     if db is not None:
         command += ["--store", "durable", "--db", db]
@@ -830,7 +826,6 @@ def build_platform(args: argparse.Namespace) -> PlatformServer:
             open_engine(StorageConfig(engine="sqlite", path=args.db)),
             namespace=args.namespace,
             owns_engine=True,
-            append_batch_size=args.append_batch_size,
             shared=args.shared,
         )
     else:
@@ -874,12 +869,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--shared",
         action="store_true",
         help="other server processes write the same durable store",
-    )
-    parser.add_argument(
-        "--append-batch-size",
-        type=int,
-        default=1,
-        help="run appends coalesced per durable write",
     )
     parser.add_argument("--api-key", default=None, help="accepted API key")
     parser.add_argument("--seed", type=int, default=0, help="worker-pool seed")

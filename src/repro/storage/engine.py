@@ -45,17 +45,16 @@ equivalence class:
 Group commit
 ------------
 
-Durable engines pay one durability barrier (sqlite commit+fsync, log fsync)
-per write batch.  Callers that issue several batches as one logical wave —
-the sharded fan-out, the ring's migration waves, the platform store's
-multi-table task publish — can instead pass ``defer_commit=True`` to each
-``put_many``/``delete_many`` and then call ``commit_group()`` once: every
-touched engine flushes a single barrier for the whole wave.  Reads on the
-same engine observe deferred writes immediately (same connection/process);
-a crash before ``commit_group()`` may lose the whole uncommitted wave but
-never tears a batch, which the ``if_absent=True`` rerun path heals exactly
-like any other lost batch.  Engines without a barrier (memory) accept and
-ignore the flag, so callers never need to special-case.
+Durable leaf engines pay one durability barrier (sqlite commit+fsync, log
+fsync) per write batch.  A caller that issues several batches to *one leaf
+engine* as a single idempotent wave — the ring's returning-member sync is
+the only one — can instead pass ``defer_commit=True`` to each
+``put_many``/``delete_many`` and then call ``commit_group()`` once.  Reads
+on the same engine observe deferred writes immediately (same
+connection/process); a crash before ``commit_group()`` may lose the whole
+uncommitted wave but never tears a batch.  Engines without a barrier
+(memory) accept and ignore the flag; partitioned engines do not take it —
+every batch they fan out is committed when the call returns.
 
 Record codecs
 -------------
@@ -251,8 +250,7 @@ class StorageEngine(abc.ABC):
 
         Pairs with ``defer_commit=True`` on :meth:`put_many` /
         :meth:`delete_many`.  A no-op on engines without a barrier and when
-        nothing was deferred; partitioned engines fan it out to every child
-        they touched.
+        nothing was deferred.
         """
 
     def get_many(

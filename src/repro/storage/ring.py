@@ -816,9 +816,7 @@ class ConsistentHashEngine(PartitionedEngine):
             index.note_delete(key)
             self._index_dirty.add(table_name)
 
-    def delete_many(
-        self, table_name: str, keys: Iterable[str], *, defer_commit: bool = False
-    ) -> int:
+    def delete_many(self, table_name: str, keys: Iterable[str]) -> int:
         if table_name == RING_META_TABLE:
             raise TableNotFoundError(table_name)
         self._require_table(table_name)
@@ -832,9 +830,7 @@ class ConsistentHashEngine(PartitionedEngine):
                 if name in self._children:
                     per_member.setdefault(name, []).append(key)
         for name in sorted(per_member):
-            self._children[name].delete_many(
-                table_name, per_member[name], defer_commit=defer_commit
-            )
+            self._children[name].delete_many(table_name, per_member[name])
         if self._pending is not None:
             # Mid-migration the old-ring copies must go too (see delete()).
             old_batches: dict[int, tuple[StorageEngine, list[str]]] = {}
@@ -842,7 +838,7 @@ class ConsistentHashEngine(PartitionedEngine):
                 for engine in self._old_replica_engines(key):
                     old_batches.setdefault(id(engine), (engine, []))[1].append(key)
             for engine, old_keys in old_batches.values():
-                engine.delete_many(table_name, old_keys, defer_commit=defer_commit)
+                engine.delete_many(table_name, old_keys)
         for key in present:
             self._note_delete(table_name, key)
         return len(present)

@@ -433,15 +433,9 @@ class PartitionedEngine(StorageEngine):
         table_name: str,
         items: Iterable[tuple[str, Any]],
         if_absent: bool = False,
-        *,
-        defer_commit: bool = False,
     ) -> list[Record]:
         """Fan a batch out per member: one child ``put_many`` (one transaction
         or group append) per member touched, after validating every value.
-
-        ``defer_commit=True`` is forwarded to every child batch, so a whole
-        fan-out wave can share one :meth:`commit_group` barrier per child
-        instead of one per batch.
         """
         self._require_table(table_name)
         items = list(items)
@@ -454,9 +448,7 @@ class PartitionedEngine(StorageEngine):
         distinct = list(dict.fromkeys(key for key, _ in items))
         envelopes = self._bulk_lookup_envelopes(table_name, distinct)
         if self._envelope_versions:
-            return self._put_many_versioned(
-                table_name, items, envelopes, if_absent, defer_commit=defer_commit
-            )
+            return self._put_many_versioned(table_name, items, envelopes, if_absent)
 
         seqs = {key: envelope[_SEQ] for key, envelope in envelopes.items()}
         # Assign fresh sequence numbers in item order so the merge-scan order
@@ -479,7 +471,7 @@ class PartitionedEngine(StorageEngine):
         member_results = {
             index: iter(batch_records)
             for index, batch_records in self._run_member_batches(
-                table_name, member_items, if_absent, defer_commit=defer_commit
+                table_name, member_items, if_absent
             ).items()
         }
         return [
@@ -493,7 +485,6 @@ class PartitionedEngine(StorageEngine):
         items: list[tuple[str, Any]],
         envelopes: dict[str, Any],
         if_absent: bool,
-        defer_commit: bool = False,
     ) -> list[Record]:
         """The envelope-versioned batch path (ring engine).
 
@@ -531,9 +522,7 @@ class PartitionedEngine(StorageEngine):
                 writes.setdefault(member_index, []).append((key, new_envelope))
             written.setdefault(key, new_envelope)
             results.append(Record(key=key, value=value, version=version))
-        self._run_member_batches(
-            table_name, writes, if_absent=False, defer_commit=defer_commit
-        )
+        self._run_member_batches(table_name, writes, if_absent=False)
         for key, new_envelope in written.items():
             self._note_write(table_name, key, new_envelope)
         return results
@@ -543,7 +532,6 @@ class PartitionedEngine(StorageEngine):
         table_name: str,
         member_items: dict[int, list[tuple[str, Any]]],
         if_absent: bool,
-        defer_commit: bool = False,
     ) -> dict[int, list[Record]]:
         """Issue one child ``put_many`` per member touched, serial or threaded.
 
@@ -554,8 +542,7 @@ class PartitionedEngine(StorageEngine):
         unchanged (one transaction/group-append per member); a crash
         mid-batch leaves an arbitrary whole-member *subset* applied when
         parallel (a prefix when serial), which ``if_absent=True`` reruns
-        heal either way.  ``defer_commit=True`` forwards the wave-barrier
-        contract to each child batch.
+        heal either way.
         """
         if self.shard_workers and len(member_items) > 1:
             futures = {
@@ -564,25 +551,16 @@ class PartitionedEngine(StorageEngine):
                     table_name,
                     batch,
                     if_absent,
-                    defer_commit=defer_commit,
                 )
                 for index, batch in member_items.items()
             }
             return {index: future.result() for index, future in futures.items()}
         return {
-            index: self._members[index].put_many(
-                table_name, batch, if_absent=if_absent, defer_commit=defer_commit
-            )
+            index: self._members[index].put_many(table_name, batch, if_absent=if_absent)
             for index, batch in member_items.items()
         }
 
-    def delete_many(
-        self,
-        table_name: str,
-        keys: Sequence[str],
-        *,
-        defer_commit: bool = False,
-    ) -> int:
+    def delete_many(self, table_name: str, keys: Sequence[str]) -> int:
         """Batch delete across members: one child ``delete_many`` per member.
 
         Returns the number of distinct requested keys that existed (replica
@@ -598,31 +576,13 @@ class PartitionedEngine(StorageEngine):
             for index in self._write_indexes(key):
                 per_member.setdefault(index, []).append(key)
         for index, member_keys in per_member.items():
-            self._members[index].delete_many(
-                table_name, member_keys, defer_commit=defer_commit
-            )
+            self._members[index].delete_many(table_name, member_keys)
         for key in present:
             self._note_delete(table_name, key)
         return len(present)
 
     def _note_delete(self, table_name: str, key: str) -> None:
         """Hook fired after *key* is deleted (ring index bookkeeping)."""
-
-    def commit_group(self) -> None:
-        """Fan the wave barrier out: one ``commit_group`` per member.
-
-        With ``shard_workers`` > 0 the member barriers (sqlite commits, log
-        fsyncs) run concurrently on the same pool the batches used.
-        """
-        members = list(self._members)
-        if self.shard_workers and len(members) > 1:
-            pool = self._member_pool()
-            futures = [pool.submit(member.commit_group) for member in members]
-            for future in futures:
-                future.result()
-        else:
-            for member in members:
-                member.commit_group()
 
     def _member_pool(self) -> ThreadPoolExecutor:
         if self._executor is None:

@@ -114,8 +114,6 @@ class ScenarioSpec:
             ``"wire"``.
         durable_platform: Back the platform's task store with a storage
             engine instead of in-process dicts.
-        group_commit: Durable platform only — one durability barrier per
-            write wave.
         price_per_assignment: Price charged to the budget per assignment.
         budget: Optional hard budget cap (None is uncapped).
         quality_method: Aggregator applied at the end (``"mv"``, ``"em"``,
@@ -161,7 +159,6 @@ class ScenarioSpec:
     replicas: int = 1
     transport: str = "direct"
     durable_platform: bool = False
-    group_commit: bool = False
     # -- economics + aggregation ---------------------------------------------
     price_per_assignment: float = 0.01
     budget: float | None = None
@@ -245,10 +242,6 @@ class ScenarioSpec:
                     f"replicas ({self.replicas}) cannot exceed storage_shards "
                     f"({self.storage_shards})"
                 )
-        if self.group_commit and not self.durable_platform:
-            raise ConfigurationError(
-                "group_commit requires durable_platform=True"
-            )
         if self.transport == "wire":
             # A wire server runs in its own process with a uniform pool built
             # from (pool_size, mean_accuracy); the in-process marketplace
@@ -262,7 +255,6 @@ class ScenarioSpec:
                 "acceptance_spread": self.acceptance_spread != 0.0,
                 "speed_spread": self.speed_spread != 0.0,
                 "accuracy_spread": self.accuracy_spread != 0.0,
-                "group_commit": self.group_commit,
             }
             offending = sorted(k for k, bad in unsupported.items() if bad)
             if offending:
@@ -309,7 +301,6 @@ class ScenarioSpec:
             "replicas": self.replicas,
             "transport": self.transport,
             "durable_platform": self.durable_platform,
-            "group_commit": self.group_commit,
             "price_per_assignment": self.price_per_assignment,
             "budget": self.budget,
             "quality_method": self.quality_method,
@@ -446,7 +437,6 @@ class ScenarioRunner:
             transport=spec.transport,
             store="durable" if spec.durable_platform else "memory",
             store_engine=store_engine,
-            group_commit=spec.group_commit,
         )
         workers = WorkerPoolConfig(
             size=spec.pool_size,

@@ -87,21 +87,13 @@ def test_pipelined_transport_benchmark_smoke_single_iteration(tmp_path):
     pipelined = bench.run_mode("pipelined", 40, 10, latency=0.0)
     assert serial.pop("_collected") == pipelined.pop("_collected")
     assert serial["tasks"] == pipelined["tasks"] == 40
-    row = bench.run_append_batch(8, str(tmp_path / "append"), 20)
-    assert row["append_batch_size"] == 8
-    assert row["tasks"] == 20
 
 
 def test_hot_path_benchmark_smoke_single_iteration(tmp_path):
     bench = load_bench_module("bench_hot_path")
-    # Each E16 harness asserts its own structural invariants (durability
-    # across reopen, byte-identical ring scans, decode == original); at toy
-    # scale we check those harnesses run, not the speedups.
-    for group_commit in (False, True):
-        mode = "group" if group_commit else "serial"
-        row = bench.run_store_mode(group_commit, str(tmp_path / mode), 20, 10)
-        assert row["tasks"] == 20
-        assert row["group_commit"] is group_commit
+    # Each E16 harness asserts its own structural invariants (byte-identical
+    # ring scans, decode == original); at toy scale we check those harnesses
+    # run, not the speedups.
     reopen = bench.run_ring_reopen(str(tmp_path / "ring"), 60, 15)
     assert reopen["keys"] == 60
     assert reopen["fresh_keys"] == 15

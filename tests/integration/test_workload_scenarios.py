@@ -83,13 +83,11 @@ class TestReplayDeterminism:
             ), spec.storage
             assert strip_backend(other) == strip_backend(reference), spec.storage
 
-    def test_durable_platform_with_group_commit_matches(self, runner):
+    def test_durable_platform_matches(self, runner):
         from dataclasses import replace
 
         reference = runner.run(BASE)
-        durable = runner.run(
-            replace(BASE, durable_platform=True, group_commit=True)
-        )
+        durable = runner.run(replace(BASE, durable_platform=True))
         assert durable.canonical_collected == reference.canonical_collected
         assert strip_backend(durable) == strip_backend(reference)
 

@@ -3,10 +3,10 @@
 Covers the :class:`AsyncTransport` concurrency layer (bounded in-flight
 window, ticket-ordered server application, flush-on-read barrier), the
 :class:`PipelinedClient` facade (in-flight ``create_tasks`` sub-batches,
-slice-pumped iteration), the durable store's write-behind run-append batch,
-the buffered manipulation log, and — the hard part — the fault-injection
-scenarios where a failure lands on an in-flight batch: no duplicate tasks,
-no lost appends, retries attributed to the right call name.
+slice-pumped iteration), the buffered manipulation log, and — the hard
+part — the fault-injection scenarios where a failure lands on an in-flight
+batch: no duplicate tasks, no lost appends, retries attributed to the right
+call name.
 """
 
 from __future__ import annotations
@@ -380,9 +380,9 @@ class TestPipelinedFaultInjection:
         assert fault.statistics()["failures_injected"] > 0
         client.close()
 
-    def test_no_lost_appends_with_write_behind_batch_under_faults(self):
+    def test_no_lost_appends_on_a_durable_store_under_faults(self):
         engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=64)
+        store = DurableTaskStore(engine)
         fault = FaultInjectingTransport(failure_rate=0.3, duplicate_rate=0.2, seed=5)
         client = PipelinedClient(
             make_server(store=store),
@@ -395,8 +395,9 @@ class TestPipelinedFaultInjection:
         client.create_tasks(project.project_id, task_specs(160, redundancy=2))
         created = client.simulate_work(project.project_id)
         assert created == 320
-        # Every append survived the batching + faults, durably: a store
-        # reopened on the same engine sees all of them.
+        # Every append survived the faults (and the duplicated deliveries of
+        # simulate_work), durably: a store reopened on the same engine sees
+        # all of them.
         reopened = PlatformServer(
             worker_pool=WorkerPool.uniform(size=8, accuracy=0.95, seed=2),
             config=PlatformConfig(seed=2),
@@ -417,70 +418,6 @@ class TestPipelinedFaultInjection:
         with pytest.raises(PlatformUnavailableError):
             client.create_tasks(project.project_id, task_specs(50))
         client.close()
-
-
-class TestDurableStoreAppendBatch:
-    def test_reads_merge_the_buffer(self):
-        engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=1000)
-        server = make_server(store=store)
-        client = PlatformClient(server)
-        project = client.create_project("p")
-        task = client.create_task(project.project_id, {"object": 1, "_true_answer": "Yes"}, 3)
-        server._fill_task(server.get_task(task.task_id), None, 0)
-        # Before any flush the engine may be behind, but the store is not.
-        assert store.run_count(task.task_id) == 3
-        assert len(store.runs_for_task(task.task_id)) == 3
-        assert [len(runs) for runs in store.runs_for_tasks([task.task_id])] == [3]
-        store.flush()
-        assert len(engine.get("platform::runs", f"{task.task_id:012d}")) == 3
-
-    def test_simulate_work_flushes_on_return(self):
-        engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=10_000)
-        client = PlatformClient(make_server(store=store))
-        project = client.create_project("p")
-        client.create_tasks(project.project_id, task_specs(20, redundancy=2))
-        client.simulate_work(project.project_id)
-        assert store._pending_run_count == 0
-        reopened = DurableTaskStore(engine)
-        assert reopened.counts()["task_runs"] == 40
-
-    def test_lost_buffer_converges_on_rerun(self):
-        engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=10_000)
-        server = make_server(store=store)
-        client = PlatformClient(server)
-        project = client.create_project("p")
-        client.create_tasks(project.project_id, task_specs(10, redundancy=2))
-        # Crash mid-simulation: answers for a few tasks sit in the buffer.
-        client.simulate_work(project.project_id, max_assignments=6)
-        store._pending_runs = {}
-        store._pending_run_count = 0
-        store._total_runs = None  # discard the optimistic cache with the buffer
-        # The "restarted" server tops the project up to exactly-once.
-        restarted = PlatformServer(
-            worker_pool=WorkerPool.uniform(size=8, accuracy=0.95, seed=2),
-            config=PlatformConfig(seed=2),
-            store=DurableTaskStore(engine),
-        )
-        restarted.simulate_work(project.project_id)
-        assert restarted.is_project_complete(project.project_id)
-        assert restarted.statistics()["task_runs"] == 20
-
-    def test_counts_include_buffered_runs(self):
-        engine = MemoryEngine()
-        store = DurableTaskStore(engine, append_batch_size=10_000)
-        server = make_server(store=store)
-        client = PlatformClient(server)
-        project = client.create_project("p")
-        task = client.create_task(project.project_id, {"object": 1, "_true_answer": "Yes"}, 2)
-        server._fill_task(server.get_task(task.task_id), None, 0)
-        assert store.counts()["task_runs"] == 2
-
-    def test_invalid_append_batch_size(self):
-        with pytest.raises(ValueError):
-            DurableTaskStore(MemoryEngine(), append_batch_size=0)
 
 
 class TestBufferedManipulationLog:

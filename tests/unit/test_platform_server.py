@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import pytest
 
 from repro.config import PlatformConfig
@@ -235,6 +237,29 @@ class TestBatchPublish:
             for run in batch.project_task_runs(project_b.project_id)
         ]
         assert single_runs == batch_runs
+
+    def test_keyed_publish_cost_is_linear_in_the_batch(self):
+        """Regression: ``_claim_and_store`` rebuilt ``dict(keyed)`` once per
+        key, so per-spec cost grew ~8x from 500 to 4000 keyed specs."""
+
+        def per_spec_seconds(count):
+            best = float("inf")
+            for _ in range(3):
+                fresh = PlatformServer(
+                    worker_pool=WorkerPool.uniform(size=4, accuracy=0.9, seed=1),
+                    config=PlatformConfig(seed=1),
+                )
+                project = fresh.create_project("linear")
+                specs = [
+                    {"info": {"i": i}, "n_assignments": 1, "dedup_key": f"k{i}"}
+                    for i in range(count)
+                ]
+                started = perf_counter()
+                fresh.create_tasks(project.project_id, specs)
+                best = min(best, perf_counter() - started)
+            return best / count
+
+        assert per_spec_seconds(4000) <= 3 * per_spec_seconds(500)
 
 
 class TestBatchBudgetCharging:

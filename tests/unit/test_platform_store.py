@@ -279,7 +279,7 @@ class TestServerRestart:
             assert task.completed_at >= task.created_at
 
     def test_rerun_heals_missing_completion_stamp(self, sqlite_engine):
-        """Crash window between append_runs and update_task: the answers
+        """Crash window between append_runs and update_tasks: the answers
         landed but completed_at did not — the rerun must stamp it."""
         store = DurableTaskStore(sqlite_engine)
         server = build_server(store)
@@ -288,7 +288,7 @@ class TestServerRestart:
         victim = server.get_task(tasks[0].task_id)
         assert victim.completed_at is not None
         victim.completed_at = None
-        store.update_task(victim)
+        store.update_tasks([victim])
         del server
 
         reopened = build_server(DurableTaskStore(sqlite_engine))

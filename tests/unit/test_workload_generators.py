@@ -330,8 +330,6 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             ScenarioSpec(storage="ring", storage_shards=2, replicas=3).validate()
         with pytest.raises(ConfigurationError):
-            ScenarioSpec(group_commit=True).validate()
-        with pytest.raises(ConfigurationError):
             ScenarioSpec(
                 task_types=(
                     TaskType(name="dup"),
