@@ -70,10 +70,10 @@ bench-trend:
 
 # cProfile the hot-path benchmarks (smoke scale by default; SCALE=full for
 # paper scale); prints top-25 by cumulative time, saves .pstats under
-# benchmarks/results/.
-SCALE ?= smoke
+# benchmarks/results/.  `make profile E0=stream_sqlite` profiles one cold
+# repetition of that E0 program instead (full sizes unless SCALE=smoke).
 profile:
-	PYTHONPATH=src python tools/profile_bench.py --scale $(SCALE) --top 25
+	PYTHONPATH=src python tools/profile_bench.py $(if $(SCALE),--scale $(SCALE)) $(if $(E0),--e0 $(E0)) --top 25
 
 # Lint README/docs links + cross-links, check config-field and benchmark
 # coverage, and run examples/quickstart.py headlessly.

@@ -78,7 +78,8 @@ class FaultRecoveryCache:
 
         Bulk sibling of :meth:`put_task`'s idempotent overwrite — used when
         a known descriptor legitimately changes (adaptive redundancy
-        top-ups), never for first publication (that is :meth:`put_tasks`,
+        top-ups, a stale task re-published on a redeployed platform),
+        never for first publication (that is :meth:`put_tasks`,
         whose put_new semantics protect crashed batches).
         """
         self.engine.put_many(self._tasks_table, list(tasks.items()), if_absent=False)

@@ -32,21 +32,50 @@ contract is unchanged:
   (``put_many(..., if_absent=True)``): a crash mid-batch leaves a durable
   prefix that the rerun never overwrites or version-bumps.
 
+A step costs what its batch costs.  The program the paper describes is
+rerun and *extended* — extend → publish → collect, again and again on one
+growing table — so each verb works on the rows that still need it and one
+invariant holds throughout: **a row already filled in memory is never
+re-derived**.
+
+* A row's object key is hashed once, when the row is created (under the
+  presenter's ``task_type``; rows created before any presenter is known are
+  keyed when ``set_presenter`` is called).  ``extend``, ``publish_task`` and
+  both collection verbs read that memo.
+* ``publish_task`` asks the cache only for rows whose ``task`` cell is still
+  ``None``, and the collection verbs only for rows whose ``result`` cell is
+  ``None``.  A fresh context — the crash rerun, Ally's machine — starts with
+  every cell ``None``, so it reads the whole cache exactly as before and
+  every ``if_absent`` write is untouched.
+
 Streaming collection
 --------------------
 
-Collection no longer materialises a whole project's answers at once.
+Collection never materialises a whole project's answers at once.
 ``get_result`` reads the cache through ``FaultRecoveryCache.iter_results``
-(one ``get_many`` per page), checks for stale cached tasks against the
-platform's id-only page stream (``iter_project_task_ids`` — one integer per
-task, no runs shipped), then walks ``PlatformClient.
-iter_task_runs_for_project(page_size)``: each page carries at most
-``collect_page_size`` tasks' runs, rows are filled as their page arrives,
-and complete results are flushed to the cache one ``put_many`` per page.  At
-no point are more than one page of task runs resident in the pipeline, so a
-project larger than memory collects in space bounded by the page size — and
-a crash between page flushes leaves durable page-prefixes that the rerun's
-``if_absent`` batch writes heal, exactly like the single-batch path did.
+(one ``get_many`` per page of unfilled rows), checks for stale cached tasks
+against the platform's id-only page stream (``iter_project_task_ids`` — one
+integer per task, no runs shipped), then walks ``PlatformClient.
+iter_task_runs_for_project(page_size, start_after)``: each page carries at
+most ``collect_page_size`` tasks' runs, rows are filled as their page
+arrives, and complete results are flushed to the cache one ``put_many`` per
+page.  At no point are more than one page of task runs resident in the
+pipeline, so a project larger than memory collects in space bounded by the
+page size — and a crash between page flushes leaves durable page-prefixes
+that the rerun's ``if_absent`` batch writes heal, exactly like the
+single-batch path did.
+
+Both platform streams resume after the collected prefix.  Task ids are
+handed out in publication order, so every row still missing a result has a
+larger id than the rows collected before it was published: the streams start
+at the exclusive cursor ``start_after`` = the largest already-collected task
+id below the smallest missing one, and neither the ids nor the runs of the
+prefix cross the transport again.  A table with nothing collected yet has no
+prefix to skip — ``start_after=None``, the whole-project walk, is the same
+path — and a rerun that found a prefix in the cache resumes after it just
+like the run that collected it.  A cursor the platform does not know (it
+was redeployed since) is reported on the first page; the walk falls back
+once to ``start_after=None`` and the stale-task check re-publishes as usual.
 
 Pipelined transport
 -------------------
@@ -61,19 +90,21 @@ batch), and the two page streams ``get_result`` walks (the id-only
 staleness check and the task-run pages) are pumped ``max_in_flight``
 slices at a time instead of one cursor-chained round-trip per page.  Every
 non-streaming verb is a flush-on-read barrier, so the fault-recovery
-reasoning above is unchanged.  ``docs/transport.md`` works the round-trip
-counts through.
+reasoning above is unchanged.  The in-flight slices are all anchored to the
+same ``start_after`` cursor (their offsets count from it), so resuming after
+the collected prefix costs the pipeline none of its independence.
+``docs/transport.md`` works the round-trip counts through.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.budget import BudgetExceededError, BudgetTracker
 from repro.core.cache import FaultRecoveryCache
 from repro.core.lineage import AnswerLineage, LineageQuery
 from repro.core.manipulations import Manipulation, ManipulationLog
-from repro.exceptions import CrowdDataError
+from repro.exceptions import CrowdDataError, PlatformError, PlatformUnavailableError
 from repro.platform.client import PlatformClient
 from repro.presenters.base import BasePresenter, registry as presenter_registry
 from repro.quality.adaptive import AdaptiveCollectionStats, AdaptivePolicy
@@ -88,6 +119,14 @@ class CrowdData:
     Instances are created through :meth:`repro.core.context.CrowdContext.CrowdData`
     rather than directly; the context supplies the platform client, the
     storage-backed cache, and the shared simulated clock.
+
+    A row's cache key — the content hash of its object and the presenter's
+    ``task_type`` — is fixed when the row is created (when the presenter is
+    set, for rows that existed before one was known) and memoised for the
+    life of the row: mutating an object already in the table does not re-key
+    its row.  ``filter()`` and ``clear()`` drop the keys of the rows they
+    drop, and a ``set_presenter()`` that changes the ``task_type`` re-keys
+    every row.
     """
 
     def __init__(
@@ -134,6 +173,10 @@ class CrowdData:
             "task": [None] * len(objects),
             "result": [None] * len(objects),
         }
+        # Row keys memoised by _object_keys(): a prefix of the rows, hashed
+        # under _keys_task_type.
+        self._keys: list[str] = []
+        self._keys_task_type: str | None = None
         self._restore_presenter()
         self.log.record(
             "init",
@@ -181,6 +224,7 @@ class CrowdData:
     def set_presenter(self, presenter: BasePresenter) -> "CrowdData":
         """Choose the web user interface used to publish this table's tasks."""
         self.presenter = presenter
+        self._object_keys()
         self.cache.put_meta("presenter", presenter.describe())
         self.log.record(
             "set_presenter",
@@ -194,6 +238,7 @@ class CrowdData:
         description = self.cache.get_meta("presenter")
         if description:
             self.presenter = presenter_registry.build(description)
+            self._object_keys()
 
     def _require_presenter(self) -> BasePresenter:
         if self.presenter is None:
@@ -215,13 +260,14 @@ class CrowdData:
         """
         presenter = self._require_presenter()
         self._ensure_project(presenter)
-        keys = self._object_keys(presenter)
-        cached = self.cache.get_tasks(keys)
-        cache_hits = 0
+        keys = self._object_keys()
+        unfilled = self._unfilled_rows("task")
+        cache_hits = len(self) - len(unfilled)
         # Row indexes awaiting a descriptor, grouped by object key so a key
         # repeated across rows is published (and charged) exactly once.
         pending: dict[str, list[int]] = {}
-        for index, descriptor in enumerate(cached):
+        cached = self.cache.get_tasks([keys[index] for index in unfilled])
+        for index, descriptor in zip(unfilled, cached):
             if descriptor is not None:
                 self.data["task"][index] = descriptor
                 cache_hits += 1
@@ -294,11 +340,25 @@ class CrowdData:
         )
         return self
 
-    def _object_keys(self, presenter: BasePresenter) -> list[str]:
-        """Return each row's durable cache key, in row order."""
+    def _object_keys(self) -> list[str]:
+        """Return each row's durable cache key, in row order.
+
+        The list is the memo itself (callers must not mutate it): a row is
+        hashed once, the first time its key is needed under the current
+        presenter's ``task_type``, and a presenter of another type rebuilds
+        the memo from scratch.
+        """
+        task_type = self._task_type_hint()
+        if task_type != self._keys_task_type:
+            self._keys, self._keys_task_type = [], task_type
+        for obj in self.data["object"][len(self._keys) :]:
+            self._keys.append(self.cache.object_key(obj, task_type))
+        return self._keys
+
+    def _unfilled_rows(self, column: str) -> list[int]:
+        """Indexes of the rows whose *column* cell is still ``None``."""
         return [
-            self.cache.object_key(obj, presenter.task_type)
-            for obj in self.data["object"]
+            index for index, value in enumerate(self.data[column]) if value is None
         ]
 
     def _ensure_project(self, presenter: BasePresenter) -> None:
@@ -339,8 +399,8 @@ class CrowdData:
                 that already exist — rows without enough answers keep a
                 partial result, mirroring the original's non-blocking mode.
         """
-        presenter = self._require_presenter()
-        cache_hits = self._load_cached_results(presenter)
+        self._require_presenter()
+        cache_hits = self._load_cached_results()
         missing = self._missing_rows("get_result()")
         if missing:
             self._heal_stale_tasks(missing)
@@ -371,21 +431,26 @@ class CrowdData:
         )
         return self
 
-    def _load_cached_results(self, presenter: BasePresenter) -> int:
-        """Fill rows from the cache, one page at a time; return the hit count."""
-        keys = self._object_keys(presenter)
-        cache_hits = 0
-        for index, result in self.cache.iter_results(keys, self.collect_page_size):
+    def _load_cached_results(self) -> int:
+        """Fill unfilled rows from the cache, one page at a time.
+
+        Returns the hit count: the rows that need no platform answer, either
+        filled already or found in the cache now.
+        """
+        keys = self._object_keys()
+        unfilled = self._unfilled_rows("result")
+        cache_hits = len(self) - len(unfilled)
+        for position, result in self.cache.iter_results(
+            [keys[index] for index in unfilled], self.collect_page_size
+        ):
             if result is not None:
-                self.data["result"][index] = result
+                self.data["result"][unfilled[position]] = result
                 cache_hits += 1
         return cache_hits
 
     def _missing_rows(self, verb: str) -> list[int]:
         """Rows still lacking a result, validated as collectable."""
-        missing = [
-            index for index, value in enumerate(self.data["result"]) if value is None
-        ]
+        missing = self._unfilled_rows("result")
         if not missing:
             return missing
         if self.project_id is None:
@@ -409,7 +474,7 @@ class CrowdData:
         experiment self-heals.
         """
         known_ids = set(
-            self.client.iter_project_task_ids(self.project_id, self.collect_page_size)
+            self._stream_after_collected(self.client.iter_project_task_ids, missing)
         )
         stale = [
             index
@@ -418,6 +483,49 @@ class CrowdData:
         ]
         if stale:
             self._republish_many(stale)
+
+    def _stream_after_collected(
+        self, iterate: Callable[..., Iterator[Any]], missing: list[int]
+    ) -> Iterator[Any]:
+        """Walk one of the client's two project streams, skipping the
+        collected prefix.
+
+        *iterate* is ``client.iter_project_task_ids`` or
+        ``client.iter_task_runs_for_project``.  The stream starts at the
+        exclusive cursor = the largest already-collected task id below the
+        smallest *missing* one: publication order is id order, so every
+        missing task the platform knows is still ahead of it, and nothing
+        collected earlier is shipped again.  A platform that does not know
+        the cursor (it was redeployed since that row was collected) says so
+        on the first page; the walk then falls back, once, to the whole
+        project, where the stale-task check takes over.
+        """
+        tasks = self.data["task"]
+        first_missing = min(tasks[index]["task_id"] for index in missing)
+        cursor = max(
+            (
+                task["task_id"]
+                for task, result in zip(tasks, self.data["result"])
+                if result is not None
+                and task is not None
+                and task["task_id"] < first_missing
+            ),
+            default=None,
+        )
+        stream = iterate(self.project_id, self.collect_page_size, start_after=cursor)
+        head = []
+        try:
+            head.append(next(stream))
+        except StopIteration:
+            return
+        except PlatformUnavailableError:
+            raise
+        except PlatformError:
+            if cursor is None:
+                raise
+            stream = iterate(self.project_id, self.collect_page_size, start_after=None)
+        yield from head
+        yield from stream
 
     def _collect_streaming(
         self,
@@ -452,8 +560,8 @@ class CrowdData:
                 self.cache.put_results(dict(to_cache))
                 to_cache.clear()
 
-        for task_id, runs in self.client.iter_task_runs_for_project(
-            self.project_id, self.collect_page_size
+        for task_id, runs in self._stream_after_collected(
+            self.client.iter_task_runs_for_project, missing
         ):
             indexes = waiting.pop(task_id, None)
             if indexes is None:
@@ -502,9 +610,9 @@ class CrowdData:
                 learned worker statistics) on :attr:`last_adaptive_aggregator`.
         """
         policy = policy or AdaptivePolicy()
-        presenter = self._require_presenter()
+        self._require_presenter()
         stats = AdaptiveCollectionStats()
-        cache_hits = self._load_cached_results(presenter)
+        cache_hits = self._load_cached_results()
         missing = self._missing_rows("get_result_adaptive()")
         tracker = aggregator if aggregator is not None else IncrementalMajorityVote()
         if missing:
@@ -583,8 +691,8 @@ class CrowdData:
             streamed = 0
             remaining = set(pending)
             page: dict[int, list[tuple[str, Any]]] = {}
-            for task_id, runs in self.client.iter_task_runs_for_project(
-                self.project_id, self.collect_page_size
+            for task_id, runs in self._stream_after_collected(
+                self.client.iter_task_runs_for_project, missing
             ):
                 streamed += 1
                 state = pending.get(task_id)
@@ -733,8 +841,7 @@ class CrowdData:
             )
             self.data["task"][index] = descriptor
             refreshed[old_descriptor["object_key"]] = descriptor
-        for key, descriptor in refreshed.items():
-            self.cache.put_task(key, descriptor)
+        self.cache.update_tasks(refreshed)
 
     # -- step 5: quality control -------------------------------------------------------------
 
@@ -817,13 +924,15 @@ class CrowdData:
         published on the next ``publish_task()``.
         """
         new_objects = list(objects)
-        existing = {self.cache.object_key(obj, self._task_type_hint()) for obj in self.data["object"]}
+        keys = self._object_keys()
+        existing = set(keys)
         added = 0
         for obj in new_objects:
-            key = self.cache.object_key(obj, self._task_type_hint())
+            key = self.cache.object_key(obj, self._keys_task_type)
             if key in existing:
                 continue
             existing.add(key)
+            keys.append(key)
             self.data["id"].append(len(self.data["id"]) + 1)
             self.data["object"].append(obj)
             self.data["task"].append(None)
@@ -853,6 +962,9 @@ class CrowdData:
         keep = [index for index, row in enumerate(self.rows()) if predicate(row)]
         for column_name in self.data:
             self.data[column_name] = [self.data[column_name][index] for index in keep]
+        # The memo covers a prefix of the rows, so the kept part of it is a
+        # prefix of the kept rows.
+        self._keys = [self._keys[index] for index in keep if index < len(self._keys)]
         self.log.record(
             "filter",
             parameters={"kept": len(keep)},
@@ -865,6 +977,7 @@ class CrowdData:
         """Drop all rows and forget the cached crowd data for this table."""
         for column_name in self.data:
             self.data[column_name] = []
+        self._keys = []
         self.cache.clear()
         self.log.record("clear", timestamp=self.clock.now)
         return self

@@ -29,7 +29,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.exceptions import PlatformUnavailableError
+from repro.exceptions import PlatformError
 from repro.platform.models import Project, Task, TaskRun
 from repro.platform.server import PlatformServer
 from repro.platform.transport import (
@@ -215,10 +215,16 @@ class PlatformClient:
         )
 
     def iter_project_task_ids(
-        self, project_id: int, page_size: int = 500
+        self, project_id: int, page_size: int = 500, start_after: int | None = None
     ) -> Iterator[int]:
-        """Generate every task id of *project_id*, one retried call per page."""
-        cursor: int | None = None
+        """Generate the project's task ids, one retried call per page.
+
+        *start_after* is the exclusive cursor the first page starts from: a
+        caller that already holds a prefix of the project resumes after it
+        and none of the prefix crosses the transport again.  None walks the
+        whole project.
+        """
+        cursor = start_after
         while True:
             page = self.list_project_task_ids(project_id, page_size, start_after=cursor)
             yield from page
@@ -227,15 +233,20 @@ class PlatformClient:
             cursor = page[-1]
 
     def list_project_task_ids_slice(
-        self, project_id: int, limit: int, offset: int = 0
+        self,
+        project_id: int,
+        limit: int,
+        offset: int = 0,
+        start_after: int | None = None,
     ) -> list[int]:
         """One offset-addressed slice of the project's task ids.
 
         Sibling of :meth:`list_project_task_ids` whose position is an
-        absolute offset instead of a chained cursor — slices at different
-        offsets are independent, which is what lets the pipelined client
-        fetch several of them concurrently.  Offsets past the end return
-        ``[]``.
+        offset instead of a chained cursor — slices at different offsets
+        are independent, which is what lets the pipelined client fetch
+        several of them concurrently.  The offset counts from the task
+        after the exclusive *start_after* cursor (from the project's first
+        task when it is None).  Offsets past the end return ``[]``.
         """
         return self._call(
             "list_project_task_ids_slice",
@@ -243,14 +254,20 @@ class PlatformClient:
             project_id,
             limit,
             offset,
+            start_after,
         )
 
     def get_task_runs_slice(
-        self, project_id: int, limit: int, offset: int = 0
+        self,
+        project_id: int,
+        limit: int,
+        offset: int = 0,
+        start_after: int | None = None,
     ) -> list[tuple[int, list[TaskRun]]]:
         """One offset-addressed slice of ``(task_id, runs)`` pairs.
 
-        Same offset contract as :meth:`list_project_task_ids_slice`.
+        Same offset and anchor contract as
+        :meth:`list_project_task_ids_slice`.
         """
         return self._call(
             "get_task_runs_slice",
@@ -258,6 +275,7 @@ class PlatformClient:
             project_id,
             limit,
             offset,
+            start_after,
         )
 
     def get_task_runs_page(
@@ -273,16 +291,19 @@ class PlatformClient:
         )
 
     def iter_task_runs_for_project(
-        self, project_id: int, page_size: int = 500
+        self, project_id: int, page_size: int = 500, start_after: int | None = None
     ) -> Iterator[tuple[int, list[TaskRun]]]:
-        """Generate every task's ``(task_id, runs)`` pair, page by page.
+        """Generate the tasks' ``(task_id, runs)`` pairs, page by page.
 
         Streaming sibling of :meth:`get_task_runs_for_project`: identical
         contents, but each transport round-trip carries at most *page_size*
         tasks' runs, and each page is retried independently — a transport
         failure mid-stream re-fetches one page, not the whole project.
+        *start_after* is the exclusive cursor of the first page, as in
+        :meth:`iter_project_task_ids`: the runs of tasks up to and including
+        it are never shipped.
         """
-        cursor: int | None = None
+        cursor = start_after
         while True:
             page = self.get_task_runs_page(project_id, page_size, start_after=cursor)
             yield from page
@@ -414,15 +435,24 @@ class PipelinedClient(PlatformClient):
         )
 
     def _iter_slice_pages(
-        self, name: str, method: Callable[..., Any], project_id: int, page_size: int
+        self,
+        name: str,
+        method: Callable[..., Any],
+        project_id: int,
+        page_size: int,
+        start_after: int | None,
     ) -> Iterator[list]:
         """Yield slices in offset order while ``max_in_flight`` are fetched ahead.
 
-        The window submits the slice at each successive offset until one
-        comes back short — the end of the project, and the end of the
-        stream: like the serial cursor iterator, nothing past the first
-        short page is yielded, so tasks appended mid-iteration can
-        lengthen the final page but never produce a gapped stream.  Slices
+        Every slice is anchored to the same exclusive *start_after* cursor
+        (offsets count from the task after it), so the slices in flight
+        stay independent of each other while the stream as a whole resumes
+        where the serial cursor iterator would.  The window submits the
+        slice at each successive offset until one comes back short — the
+        end of the project, and the end of the stream: like the serial
+        cursor iterator, nothing past the first short page is yielded, so
+        tasks appended mid-iteration can lengthen the final page but never
+        produce a gapped stream.  Slices
         already submitted past that point are legal (they return ``[]``
         against a quiescent project) — they are the price of not knowing
         the project size in advance, and they overlap with useful fetches
@@ -435,7 +465,9 @@ class PipelinedClient(PlatformClient):
             while True:
                 while len(window) < self.max_in_flight:
                     window.append(
-                        self._call_async(name, method, project_id, page_size, offset)
+                        self._call_async(
+                            name, method, project_id, page_size, offset, start_after
+                        )
                     )
                     offset += page_size
                 page = window.popleft().result()
@@ -450,7 +482,9 @@ class PipelinedClient(PlatformClient):
             while window:
                 try:
                     window.popleft().result()
-                except PlatformUnavailableError:
+                except PlatformError:
+                    # Outage or a cursor the platform does not know: the
+                    # slice that was consumed has already raised it.
                     pass
 
     # -- pipelined verbs ----------------------------------------------------------
@@ -493,34 +527,44 @@ class PipelinedClient(PlatformClient):
         return tasks
 
     def iter_project_task_ids(
-        self, project_id: int, page_size: int | None = None
+        self,
+        project_id: int,
+        page_size: int | None = None,
+        start_after: int | None = None,
     ) -> Iterator[int]:
-        """Generate every task id with ``max_in_flight`` slices on the wire.
+        """Generate the task ids with ``max_in_flight`` slices on the wire.
 
-        *page_size* defaults to this client's ``batch_size``.
+        *page_size* defaults to this client's ``batch_size``; *start_after*
+        is the serial iterator's exclusive resume cursor.
         """
         for page in self._iter_slice_pages(
             "list_project_task_ids_slice",
             self.server.list_project_task_ids_slice,
             project_id,
             page_size or self.batch_size,
+            start_after,
         ):
             yield from page
 
     def iter_task_runs_for_project(
-        self, project_id: int, page_size: int | None = None
+        self,
+        project_id: int,
+        page_size: int | None = None,
+        start_after: int | None = None,
     ) -> Iterator[tuple[int, list[TaskRun]]]:
         """Generate ``(task_id, runs)`` pairs with concurrent slice fetches.
 
         Same contents and order as the serial iterator; at most
         ``max_in_flight`` slices' runs are in flight at once, so peak
         residency is bounded by ``max_in_flight * page_size`` tasks' runs.
-        *page_size* defaults to this client's ``batch_size``.
+        *page_size* defaults to this client's ``batch_size``; *start_after*
+        is the serial iterator's exclusive resume cursor.
         """
         for page in self._iter_slice_pages(
             "get_task_runs_slice",
             self.server.get_task_runs_slice,
             project_id,
             page_size or self.batch_size,
+            start_after,
         ):
             yield from page

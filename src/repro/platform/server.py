@@ -479,41 +479,57 @@ class PlatformServer:
         page = self._task_id_page(project_id, limit, start_after)
         return list(zip(page, self.store.runs_for_tasks(page)))
 
-    def _task_id_slice(self, project_id: int, limit: int, offset: int) -> list[int]:
+    def _task_id_slice(
+        self, project_id: int, limit: int, offset: int, start_after: int | None
+    ) -> list[int]:
         """One offset-addressed slice of the project's task ids."""
         if limit <= 0:
             raise PlatformError(f"slice limit must be positive, got {limit}")
         if offset < 0:
             raise PlatformError(f"slice offset must be >= 0, got {offset}")
         self.get_project(project_id)
-        return self.store.task_id_slice(project_id, limit, offset)
+        return self.store.task_id_slice(project_id, limit, offset, start_after)
 
     def list_project_task_ids_slice(
-        self, project_id: int, limit: int, offset: int = 0
+        self,
+        project_id: int,
+        limit: int,
+        offset: int = 0,
+        start_after: int | None = None,
     ) -> list[int]:
         """One offset-addressed slice of task ids, in publication order.
 
         Unlike the cursor pages, slices at different offsets are
         independent of each other, so a pipelined client can fetch several
-        concurrently.  Slices are stable under appends (new tasks only ever
-        land at higher offsets) but, unlike cursor pages, *not* under
-        concurrent deletions, which shift later offsets down — the cursor
-        API remains the general-purpose stream.  An offset at or past the
-        end returns ``[]`` rather than raising, because a speculative
-        fetch beyond the (unknown) end of the project is how the pipelined
-        iterator discovers that end.
+        concurrently.  *offset* counts from the task after the exclusive
+        ``start_after`` cursor (from the project's first task when it is
+        None), so a client that already holds a prefix of the project
+        anchors every in-flight slice to the same id and ships none of the
+        prefix again; an id the project does not contain raises
+        :class:`PlatformError`, as on the cursor pages.  Slices are stable
+        under appends (new tasks only ever land at higher offsets) but,
+        unlike cursor pages, *not* under concurrent deletions, which shift
+        later offsets down — the cursor API remains the general-purpose
+        stream.  An offset at or past the end returns ``[]`` rather than
+        raising, because a speculative fetch beyond the (unknown) end of
+        the project is how the pipelined iterator discovers that end.
         """
-        return self._task_id_slice(project_id, limit, offset)
+        return self._task_id_slice(project_id, limit, offset, start_after)
 
     def get_task_runs_slice(
-        self, project_id: int, limit: int, offset: int = 0
+        self,
+        project_id: int,
+        limit: int,
+        offset: int = 0,
+        start_after: int | None = None,
     ) -> list[tuple[int, list[TaskRun]]]:
         """One offset-addressed slice of ``(task_id, task_runs)`` pairs.
 
-        Same offset contract as :meth:`list_project_task_ids_slice`; at
-        most *limit* tasks' runs are materialised per call.
+        Same offset and anchor contract as
+        :meth:`list_project_task_ids_slice`; at most *limit* tasks' runs
+        are materialised per call.
         """
-        page = self._task_id_slice(project_id, limit, offset)
+        page = self._task_id_slice(project_id, limit, offset, start_after)
         return list(zip(page, self.store.runs_for_tasks(page)))
 
     def iter_task_runs_for_project(

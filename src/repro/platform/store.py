@@ -75,13 +75,19 @@ def _cursor_error(start_after: int, project_id: int) -> PlatformError:
 
 
 def _page_task_ids(
-    task_ids: Sequence[int], limit: int | None, start_after: int | None, project_id: int
+    task_ids: Sequence[int],
+    limit: int | None,
+    start_after: int | None,
+    project_id: int,
+    offset: int = 0,
 ) -> list[int]:
     """Apply the exclusive-cursor page contract to a sorted task-id list.
 
     Shared by both store implementations so their cursor semantics cannot
     drift: ids come from a monotonic counter, so the per-project list is
     sorted and the cursor resolves by bisection rather than a linear scan.
+    *offset* skips that many ids after the cursor — the slice verbs'
+    addressing, which is the same walk anchored at the same place.
     """
     if start_after is None:
         position = 0
@@ -90,6 +96,7 @@ def _page_task_ids(
         if position == len(task_ids) or task_ids[position] != start_after:
             raise _cursor_error(start_after, project_id)
         position += 1
+    position += offset
     end = None if limit is None else position + limit
     return list(task_ids[position:end])
 
@@ -224,17 +231,23 @@ class TaskStore(abc.ABC):
         (transplanted from the storage ``scan``) on every implementation.
         """
 
-    def task_id_slice(self, project_id: int, limit: int, offset: int) -> list[int]:
+    def task_id_slice(
+        self, project_id: int, limit: int, offset: int, start_after: int | None = None
+    ) -> list[int]:
         """One offset-addressed slice of the project's publication-order ids.
 
-        Offset semantics are plain list slicing: ``ids[offset:offset +
-        limit]``, with offsets past the end yielding ``[]``.  Both stores
-        keep a sorted id list per project, so the default implementation is
-        already O(project) at worst and O(slice) on the durable store's
-        cached list; it exists so the server can serve the pipelined
-        client's concurrent slice fetches without a cursor chain.
+        Offset semantics are plain list slicing of the ids that follow the
+        exclusive *start_after* cursor (the whole project when it is None):
+        ``ids[offset:offset + limit]``, with offsets past the end yielding
+        ``[]`` and an unknown cursor raising like :meth:`task_id_page`.
+        Both stores keep a sorted id list per project, so the default
+        implementation is already O(project) at worst and O(slice) on the
+        durable store's cached list; it exists so the server can serve the
+        pipelined client's concurrent slice fetches without a cursor chain.
         """
-        return self.project_task_ids(project_id)[offset : offset + limit]
+        return _page_task_ids(
+            self.project_task_ids(project_id), limit, start_after, project_id, offset
+        )
 
     @abc.abstractmethod
     def resolve_dedup_keys(self, project_id: int, keys: Sequence[str]) -> dict[str, int]:
@@ -449,8 +462,12 @@ class MemoryTaskStore(TaskStore):
             self._tasks_by_project[project_id], limit, start_after, project_id
         )
 
-    def task_id_slice(self, project_id: int, limit: int, offset: int) -> list[int]:
-        return self._tasks_by_project[project_id][offset : offset + limit]
+    def task_id_slice(
+        self, project_id: int, limit: int, offset: int, start_after: int | None = None
+    ) -> list[int]:
+        return _page_task_ids(
+            self._tasks_by_project[project_id], limit, start_after, project_id, offset
+        )
 
     def resolve_dedup_keys(self, project_id: int, keys: Sequence[str]) -> dict[str, int]:
         resolved: dict[str, int] = {}
@@ -873,10 +890,14 @@ class DurableTaskStore(TaskStore):
             self._sorted_task_ids(project_id), limit, start_after, project_id
         )
 
-    def task_id_slice(self, project_id: int, limit: int, offset: int) -> list[int]:
+    def task_id_slice(
+        self, project_id: int, limit: int, offset: int, start_after: int | None = None
+    ) -> list[int]:
         # Slice the cached list directly: O(slice), not the base
         # implementation's full project_task_ids copy per call.
-        return self._sorted_task_ids(project_id)[offset : offset + limit]
+        return _page_task_ids(
+            self._sorted_task_ids(project_id), limit, start_after, project_id, offset
+        )
 
     def resolve_dedup_keys(self, project_id: int, keys: Sequence[str]) -> dict[str, int]:
         if not keys:

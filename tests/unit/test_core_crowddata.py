@@ -204,6 +204,67 @@ class TestExtendFilterClear:
         assert data.cache.result_count() == 0
 
 
+class TestRowKeyMemo:
+    """A row's cache key is hashed once and kept with the row; the verbs
+    that drop or re-key rows must keep the memo in step with the table."""
+
+    def test_filtered_out_object_is_re_added_and_reuses_its_cached_task(
+        self, context, image_dataset
+    ):
+        data = build_crowddata(context, image_dataset)
+        dropped = image_dataset.images[2]
+        dropped_task = data.column("task")[2]
+        data.filter(lambda row: row["object"] != dropped)
+        assert dropped not in data.column("object")
+
+        tasks_before = context.client.statistics()["tasks"]
+        data.extend([dropped])
+        assert data.column("object")[-1] == dropped
+        assert data.column("task")[-1] is None
+        data.publish_task(3).get_result()
+        assert context.client.statistics()["tasks"] == tasks_before
+        assert data.column("task")[-1] == dropped_task
+        assert data.column("result")[-1]["task_id"] == dropped_task["task_id"]
+        # Still deduplicated against the rows that stayed.
+        data.extend(image_dataset.images)
+        assert len(data) == len(image_dataset)
+
+    def test_switching_presenter_type_changes_the_keys(self, context, image_dataset):
+        data = context.CrowdData(
+            image_dataset.images[:4], "imgs", ground_truth=image_dataset.ground_truth
+        )
+        data.set_presenter(ImageLabelPresenter())
+        data.publish_task(3)
+        image_keys = [task["object_key"] for task in data.column("task")]
+
+        data.filter(lambda row: False)
+        data.set_presenter(TextLabelPresenter())
+        data.extend(image_dataset.images[:4]).publish_task(3)
+        text_keys = [task["object_key"] for task in data.column("task")]
+        assert set(text_keys).isdisjoint(image_keys)
+        assert text_keys == [
+            data.cache.object_key(obj, "text_label") for obj in image_dataset.images[:4]
+        ]
+        assert context.client.statistics()["tasks"] == 8
+
+    def test_switching_presenter_type_rekeys_existing_rows(self, context, image_dataset):
+        data = context.CrowdData(image_dataset.images[:4], "imgs")
+        data.set_presenter(ImageLabelPresenter())
+        data.set_presenter(TextLabelPresenter())
+        # Rows keyed as images would let this through as four new objects.
+        data.extend(image_dataset.images[:4])
+        assert len(data) == 4
+
+    def test_clear_forgets_the_keys(self, context, image_dataset):
+        data = build_crowddata(context, image_dataset)
+        data.clear()
+        data.set_presenter(ImageLabelPresenter())
+        data.extend(image_dataset.images[:3])
+        assert len(data) == 3
+        data.publish_task(3).get_result()
+        assert all(result["complete"] for result in data.column("result"))
+
+
 class TestLineageAndHistory:
     def test_lineage_has_one_record_per_answer(self, context, image_dataset):
         data = build_crowddata(context, image_dataset)

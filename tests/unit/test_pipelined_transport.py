@@ -309,10 +309,10 @@ class TestPipelinedClientEquivalence:
         client = PipelinedClient(make_server(), batch_size=10, max_in_flight=4)
         pages = {0: list(range(4)), 4: [4, 5], 8: [12, 13, 14, 15]}
 
-        def fake_slice(project_id, limit, offset):
+        def fake_slice(project_id, limit, offset, start_after):
             return pages.get(offset, [])
 
-        yielded = list(client._iter_slice_pages("fake", fake_slice, 1, 4))
+        yielded = list(client._iter_slice_pages("fake", fake_slice, 1, 4, None))
         assert yielded == [[0, 1, 2, 3], [4, 5]]
         assert client.transport.in_flight == 0
         client.close()

@@ -11,7 +11,11 @@ Three layers of proof:
   one-page path, and cache flushes stay bounded by the page size;
 * fault-recovery level — a crash injected mid-stream (inside a paged cache
   flush) reruns to the identical final state with zero re-collected answers
-  and no overwritten cache records.
+  and no overwritten cache records;
+* resume level — both streams start after an exclusive ``start_after``
+  cursor (cursor pages and anchored slices alike), and a collected prefix
+  whose cursor a redeployed platform does not know falls back to the whole
+  project and heals, on direct and pipelined clients.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import pytest
 from repro import CrowdContext
 from repro.config import PlatformConfig, WorkerPoolConfig
 from repro.exceptions import CrashInjected, PlatformError
-from repro.platform.client import PlatformClient
+from repro.platform.client import PipelinedClient, PlatformClient
 from repro.platform.server import PlatformServer
 from repro.platform.transport import CountingTransport
 from repro.presenters import ImageLabelPresenter
@@ -37,9 +41,13 @@ PAGE_SIZE = 5
 REDUNDANCY = 2
 
 
-def make_client(transport=None, seed=13, store=None):
+def make_client(transport=None, seed=13, store=None, kind="direct"):
     pool = WorkerPool.from_config(WorkerPoolConfig(size=20, mean_accuracy=0.9, seed=seed))
     server = PlatformServer(worker_pool=pool, config=PlatformConfig(seed=seed), store=store)
+    if kind == "pipelined":
+        return PipelinedClient(
+            server, transport=transport, batch_size=PAGE_SIZE, max_in_flight=3
+        )
     return PlatformClient(server, transport=transport)
 
 
@@ -209,4 +217,99 @@ class TestCrashMidStream:
         assert all(result["complete"] for result in data.column("result"))
         # The surviving page-prefix was never overwritten or version-bumped.
         assert [r.version for r in durable.scan("stream_tbl::results")] == [1] * NUM_OBJECTS
+        durable.close()
+
+
+@pytest.mark.parametrize("kind", ["direct", "pipelined"])
+class TestResumeAfterCollectedPrefix:
+    def test_streams_start_after_the_cursor(self, kind):
+        client = make_client(kind=kind)
+        project = client.create_project("resume")
+        other = client.create_project("other")
+        specs = [{"info": {"url": f"img-{i:03d}"}, "n_assignments": 1} for i in range(NUM_OBJECTS)]
+        client.create_tasks(project.project_id, specs[:9])
+        foreign = client.create_tasks(other.project_id, specs[:2])
+        client.create_tasks(project.project_id, specs[9:])
+        client.simulate_work(project_id=project.project_id)
+        pid = project.project_id
+
+        ids = list(client.iter_project_task_ids(pid, PAGE_SIZE))
+        runs = list(client.iter_task_runs_for_project(pid, PAGE_SIZE))
+        for position in (0, 6, NUM_OBJECTS - 1):
+            cursor = ids[position]
+            assert list(client.iter_project_task_ids(pid, PAGE_SIZE, start_after=cursor)) == (
+                ids[position + 1 :]
+            )
+            assert list(
+                client.iter_task_runs_for_project(pid, PAGE_SIZE, start_after=cursor)
+            ) == runs[position + 1 :]
+        # Slices count their offset from the task after the anchor.
+        assert client.list_project_task_ids_slice(pid, 4, 2, ids[6]) == ids[9:13]
+        assert client.get_task_runs_slice(pid, 4, 2, ids[6]) == runs[9:13]
+        assert client.list_project_task_ids_slice(pid, 4, NUM_OBJECTS, ids[6]) == []
+        # A cursor of another project is as unknown as one that never existed.
+        for unknown in (foreign[0].task_id, 99999):
+            with pytest.raises(PlatformError):
+                list(client.iter_project_task_ids(pid, PAGE_SIZE, start_after=unknown))
+            with pytest.raises(PlatformError):
+                list(client.iter_task_runs_for_project(pid, PAGE_SIZE, start_after=unknown))
+            with pytest.raises(PlatformError):
+                client.get_task_runs_slice(pid, 4, 0, unknown)
+        client.close()
+
+    def test_redeployed_platform_with_a_collected_prefix_self_heals(self, kind, tmp_path):
+        """Ten rows are collected, thirteen more published, then the
+        platform is redeployed: the rerun resumes after a task id the new
+        server has never issued, must fall back to the whole project, and
+        re-publish the thirteen in one cache write."""
+        objects = [f"img-{i:03d}.png" for i in range(NUM_OBJECTS)]
+        durable = SqliteEngine(str(tmp_path / "redeploy.db"))
+        first = make_client(kind=kind)
+        context = CrowdContext(engine=durable, client=first, ground_truth=lambda obj: "Yes")
+        data = context.CrowdData(objects[:10], "stream_tbl")
+        data.collect_page_size = PAGE_SIZE
+        data.set_presenter(ImageLabelPresenter())
+        data.publish_task(n_assignments=REDUNDANCY).get_result()
+        data.extend(objects[10:]).publish_task(n_assignments=REDUNDANCY)
+        prefix = data.column("result")[:10]
+        first.close()
+
+        task_writes = []
+        originals = {name: getattr(SqliteEngine, name) for name in ("put", "put_many")}
+
+        def spy(name):
+            def write(self, table_name, *args, **kwargs):
+                if table_name == "stream_tbl::tasks":
+                    task_writes.append(name)
+                return originals[name](self, table_name, *args, **kwargs)
+
+            return write
+
+        transport = CountingTransport()
+        second = make_client(transport, seed=14, kind=kind)
+        for name in originals:
+            setattr(SqliteEngine, name, spy(name))
+        try:
+            rerun = run_experiment(durable, second, page_size=PAGE_SIZE)
+        finally:
+            for name, original in originals.items():
+                setattr(SqliteEngine, name, original)
+
+        assert rerun.column("result")[:10] == prefix  # from the cache, untouched
+        assert all(result["complete"] for result in rerun.column("result"))
+        stats = second.statistics()
+        assert stats["tasks"] == NUM_OBJECTS - 10
+        assert stats["task_runs"] == (NUM_OBJECTS - 10) * REDUNDANCY
+        healed = sorted(task["task_id"] for task in rerun.column("task")[10:])
+        assert healed == list(range(1, NUM_OBJECTS - 10 + 1))
+        assert task_writes == ["put_many"]
+        # The stale cursor cost one refused id page before the fallback.
+        if kind == "direct":
+            assert transport.calls_by_name["list_project_task_ids"] == 2
+            assert transport.calls_by_name["get_task_runs_page"] == math.ceil(
+                (NUM_OBJECTS - 10) / PAGE_SIZE
+            )
+        else:
+            assert transport.calls_by_name["list_project_task_ids_slice"] >= 2
+        second.close()
         durable.close()

@@ -12,21 +12,33 @@ By default the benchmarks run at smoke scale so a full profile pass takes
 seconds; pass ``--scale full`` for paper-scale profiles (minutes — the
 profiler roughly doubles each benchmark's wall clock).
 
+``--e0 <workload>`` is E0's drill-down: it profiles one cold repetition of
+one of E0's requester programs (``benchmarks/e0/workloads.py``, imported
+read-only) in this process, under the conditions E0 measures in
+(``run.steady_conditions()``), at E0's frozen full sizes unless ``--scale
+smoke`` is given.  E0's traced run says which *layer* the time is in; this
+says which *function*.  Set-up is outside the profile, like it is outside
+``run_s``.
+
 Usage:
     PYTHONPATH=src python tools/profile_bench.py [--scale smoke|full]
         [--top 25] [--only E10,E13]
+    python tools/profile_bench.py --e0 stream_sqlite [--scale smoke] [--seed 11]
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import os
 import pstats
+import shutil
 import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(REPO_ROOT, "benchmarks", "results")
+E0_DIR = os.path.join(REPO_ROOT, "benchmarks", "e0")
 
 #: tag -> benchmark module profiled under that tag.
 BENCHMARKS = {
@@ -72,13 +84,58 @@ def profile_one(tag: str, filename: str, scale: str, top: int) -> int:
     return 0
 
 
+def profile_e0(name: str, scale: str, top: int, seed: int) -> int:
+    """Profile one cold repetition of E0 program *name*; return an exit code."""
+    sys.path.insert(0, E0_DIR)
+    import run as e0  # puts src/ on sys.path; exits if src/repro is missing
+    from workloads import WORKLOADS, Env, Steps
+
+    if name not in WORKLOADS:
+        print(f"unknown E0 workload {name!r}; known: {sorted(WORKLOADS)}")
+        return 2
+    workload = WORKLOADS[name]
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    pstats_path = os.path.join(RESULTS_DIR, f"E0_{name}_profile.pstats")
+    run_dir = os.path.join(RESULTS_DIR, f"E0_{name}_profile_run")
+    shutil.rmtree(run_dir, ignore_errors=True)
+    os.makedirs(run_dir)
+    print(f"\n=== E0: {name} (--scale {scale}, --seed {seed}) ===", flush=True)
+    profiler = cProfile.Profile()
+    with e0.steady_conditions():
+        inputs = workload.setup(seed, workload.sizes[scale], run_dir)
+        try:
+            steps = Steps()
+            steps.start()
+            profiler.enable()
+            try:
+                workload.run(inputs, Env(steps))
+            finally:
+                profiler.disable()
+        finally:
+            workload.teardown(inputs)
+            shutil.rmtree(run_dir, ignore_errors=True)
+    profiler.dump_stats(pstats_path)
+    pstats.Stats(pstats_path).sort_stats("cumulative").print_stats(top)
+    print(f"E0 {name}: raw profile saved to {os.path.relpath(pstats_path, REPO_ROOT)}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--scale",
         choices=("smoke", "full"),
-        default="smoke",
-        help="benchmark scale to profile at (default smoke)",
+        default=None,
+        help="benchmark scale to profile at (default smoke; full with --e0)",
+    )
+    parser.add_argument(
+        "--e0",
+        metavar="WORKLOAD",
+        help="profile one cold repetition of this E0 program instead "
+        "(e.g. stream_sqlite)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=11, help="workload seed for --e0 (default 11)"
     )
     parser.add_argument(
         "--top",
@@ -93,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{', '.join(BENCHMARKS)})",
     )
     args = parser.parse_args(argv)
+    if args.e0:
+        return profile_e0(args.e0, args.scale or "full", args.top, args.seed)
+    scale = args.scale or "smoke"
 
     selected = [tag.strip() for tag in args.only.split(",") if tag.strip()] or list(
         BENCHMARKS
@@ -103,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
 
     status = 0
     for tag in selected:
-        status = profile_one(tag, BENCHMARKS[tag], args.scale, args.top) or status
+        status = profile_one(tag, BENCHMARKS[tag], scale, args.top) or status
     return status
 
 
