@@ -117,8 +117,6 @@ def run_adaptive(dataset) -> tuple[dict, dict]:
     # O(pages) per round plus one batched extension call per round.
     calls = transport.calls_by_name
     assert "get_task_runs" not in calls
-    assert "get_task_runs_for_project" not in calls
-    assert "extend_task_redundancy" not in calls
     pages_per_sweep = math.ceil(len(dataset.images) / data.collect_page_size)
     assert calls["get_task_runs_page"] <= (stats.rounds + 1) * pages_per_sweep
     assert calls["extend_tasks_redundancy"] <= stats.rounds

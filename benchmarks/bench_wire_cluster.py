@@ -79,7 +79,7 @@ def _own_project_worker(index: int, addresses, tasks: int, queue) -> None:
             project.project_id, make_specs(f"c{index}", tasks)
         )
         created = client.simulate_work(project_id=project.project_id)
-        runs = client.get_task_runs_for_project(project.project_id)
+        runs = dict(client.iter_task_runs_for_project(project.project_id))
         assert len(published) == tasks
         assert created == tasks * REDUNDANCY
         assert len(runs) == tasks

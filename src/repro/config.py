@@ -135,8 +135,7 @@ class PlatformConfig:
             concurrent in-flight calls (the bounded window further
             ``call_async`` submissions block on).
         pipeline_batch_size: For the pipelined transport, how many task
-            specs each in-flight ``create_tasks`` sub-batch carries (also
-            the default slice size of pipelined iteration).
+            specs each in-flight ``create_tasks`` sub-batch carries.
     """
 
     name: str = "simulated-pybossa"

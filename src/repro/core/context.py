@@ -287,7 +287,7 @@ class CrowdContext:
             table.log.flush()
         if self._owns_server:
             # Client first: closing the transport drains any in-flight
-            # async calls (e.g. slices of an abandoned streaming
+            # async calls (e.g. pages of an abandoned streaming
             # collection) so nothing still runs against the server when its
             # store goes away.  The server close only closes what the
             # store owns; a shared engine (the durable platform default)

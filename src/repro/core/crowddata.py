@@ -88,9 +88,9 @@ batch is split into in-flight sub-batches (each spec already carries its
 ``dedup_key``, so a retried sub-batch is as harmless as a retried single
 batch), and the two page streams ``get_result`` walks (the id-only
 staleness check and the task-run pages) are pumped ``max_in_flight``
-slices at a time instead of one cursor-chained round-trip per page.  Every
+pages at a time instead of one cursor-chained round-trip per page.  Every
 non-streaming verb is a flush-on-read barrier, so the fault-recovery
-reasoning above is unchanged.  The in-flight slices are all anchored to the
+reasoning above is unchanged.  The in-flight pages are all anchored to the
 same ``start_after`` cursor (their offsets count from it), so resuming after
 the collected prefix costs the pipeline none of its independence.
 ``docs/transport.md`` works the round-trip counts through.

@@ -18,7 +18,8 @@ Two clients share that surface:
 * :class:`PipelinedClient` — the same verbs over an
   :class:`~repro.platform.transport.AsyncTransport`: large ``create_tasks``
   publishes are split into sub-batches kept in flight concurrently, and the
-  streaming iterators pump ``max_in_flight`` offset-addressed pages at once,
+  streaming iterators pump ``max_in_flight`` offset-addressed pages at once
+  (the same two paging verbs, scheduled differently),
   so transport latency overlaps with server-side storage work while every
   ordering and idempotence contract of the serial client still holds.
 """
@@ -93,6 +94,47 @@ class PlatformClient:
             jitter=self.retry_jitter,
         )
 
+    def _fetch_page(
+        self,
+        name: str,
+        project_id: int,
+        limit: int,
+        start_after: int | None,
+        offset: int,
+    ) -> list:
+        """One retried call of the paging verb *name*.
+
+        ``offset`` travels only when it is non-zero, so a cursor-only
+        request is the same frame the serial page pump sends.
+        """
+        position: dict[str, Any] = {"start_after": start_after}
+        if offset:
+            position["offset"] = offset
+        return self._call(
+            name, getattr(self.server, name), project_id, limit, **position
+        )
+
+    def _iter_pages(
+        self, name: str, project_id: int, page_size: int, start_after: int | None
+    ) -> Iterator[list]:
+        """Yield the non-empty pages of paging verb *name* after *start_after*.
+
+        The serial pump: one retried round trip per page, each page's last
+        task id the exclusive cursor of the next, never an offset — a
+        cursor chain stays gap-free when tasks are deleted mid-walk, which
+        anchored offsets do not.  The stream ends at the first short page.
+        """
+        method = getattr(self.server, name)
+        cursor = start_after
+        while True:
+            page = self._call(name, method, project_id, page_size, start_after=cursor)
+            if page:
+                yield page
+            if len(page) < page_size:
+                return
+            # A run page carries (task_id, runs) pairs, an id page bare ids.
+            cursor = page[-1][0] if name == "get_task_runs_page" else page[-1]
+
     # -- projects ---------------------------------------------------------------
 
     def create_project(
@@ -128,15 +170,9 @@ class PlatformClient:
         n_assignments: int | None = None,
         dedup_key: str | None = None,
     ) -> Task:
-        """Publish one task and return its descriptor."""
-        return self._call(
-            "create_task",
-            self.server.create_task,
-            project_id,
-            info,
-            n_assignments=n_assignments,
-            dedup_key=dedup_key,
-        )
+        """Publish one task: a one-spec :meth:`create_tasks` batch."""
+        spec = {"info": info, "n_assignments": n_assignments, "dedup_key": dedup_key}
+        return self.create_tasks(project_id, [spec])[0]
 
     def create_tasks(
         self, project_id: int, task_specs: Sequence[dict[str, Any]]
@@ -165,10 +201,9 @@ class PlatformClient:
         self._call("delete_task", self.server.delete_task, task_id)
 
     def extend_task_redundancy(self, task_id: int, extra: int) -> Task:
-        """Request *extra* additional assignments for an existing task."""
-        return self._call(
-            "extend_task_redundancy", self.server.extend_task_redundancy, task_id, extra
-        )
+        """Request *extra* more assignments for one task: a one-entry
+        :meth:`extend_tasks_redundancy` batch."""
+        return self.extend_tasks_redundancy({task_id: extra})[0]
 
     def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
         """Request extra assignments for a batch of tasks in one round-trip.
@@ -189,29 +224,22 @@ class PlatformClient:
         """Return the answers collected so far for *task_id*."""
         return self._call("get_task_runs", self.server.get_task_runs, task_id)
 
-    def get_task_runs_for_project(self, project_id: int) -> dict[int, list[TaskRun]]:
-        """Return every task's runs of *project_id* in one call, by task id.
-
-        Materialises the whole project; prefer
-        :meth:`iter_task_runs_for_project` for projects that may not fit in
-        memory.
-        """
-        return self._call(
-            "get_task_runs_for_project",
-            self.server.get_task_runs_for_project,
-            project_id,
-        )
-
     def list_project_task_ids(
-        self, project_id: int, limit: int, start_after: int | None = None
+        self,
+        project_id: int,
+        limit: int,
+        start_after: int | None = None,
+        offset: int = 0,
     ) -> list[int]:
-        """One page of the project's task ids (exclusive *start_after* cursor)."""
-        return self._call(
-            "list_project_task_ids",
-            self.server.list_project_task_ids,
-            project_id,
-            limit,
-            start_after=start_after,
+        """One page of the project's task ids.
+
+        The page starts *offset* tasks after the exclusive *start_after*
+        cursor (after the project's first task when it is None).  Pages at
+        different offsets from one cursor are independent of each other;
+        a position at or past the end returns ``[]``.
+        """
+        return self._fetch_page(
+            "list_project_task_ids", project_id, limit, start_after, offset
         )
 
     def iter_project_task_ids(
@@ -224,70 +252,24 @@ class PlatformClient:
         and none of the prefix crosses the transport again.  None walks the
         whole project.
         """
-        cursor = start_after
-        while True:
-            page = self.list_project_task_ids(project_id, page_size, start_after=cursor)
+        for page in self._iter_pages(
+            "list_project_task_ids", project_id, page_size, start_after
+        ):
             yield from page
-            if len(page) < page_size:
-                return
-            cursor = page[-1]
-
-    def list_project_task_ids_slice(
-        self,
-        project_id: int,
-        limit: int,
-        offset: int = 0,
-        start_after: int | None = None,
-    ) -> list[int]:
-        """One offset-addressed slice of the project's task ids.
-
-        Sibling of :meth:`list_project_task_ids` whose position is an
-        offset instead of a chained cursor — slices at different offsets
-        are independent, which is what lets the pipelined client fetch
-        several of them concurrently.  The offset counts from the task
-        after the exclusive *start_after* cursor (from the project's first
-        task when it is None).  Offsets past the end return ``[]``.
-        """
-        return self._call(
-            "list_project_task_ids_slice",
-            self.server.list_project_task_ids_slice,
-            project_id,
-            limit,
-            offset,
-            start_after,
-        )
-
-    def get_task_runs_slice(
-        self,
-        project_id: int,
-        limit: int,
-        offset: int = 0,
-        start_after: int | None = None,
-    ) -> list[tuple[int, list[TaskRun]]]:
-        """One offset-addressed slice of ``(task_id, runs)`` pairs.
-
-        Same offset and anchor contract as
-        :meth:`list_project_task_ids_slice`.
-        """
-        return self._call(
-            "get_task_runs_slice",
-            self.server.get_task_runs_slice,
-            project_id,
-            limit,
-            offset,
-            start_after,
-        )
 
     def get_task_runs_page(
-        self, project_id: int, limit: int, start_after: int | None = None
+        self,
+        project_id: int,
+        limit: int,
+        start_after: int | None = None,
+        offset: int = 0,
     ) -> list[tuple[int, list[TaskRun]]]:
-        """One page of ``(task_id, runs)`` pairs (exclusive cursor contract)."""
-        return self._call(
-            "get_task_runs_page",
-            self.server.get_task_runs_page,
-            project_id,
-            limit,
-            start_after=start_after,
+        """One page of ``(task_id, runs)`` pairs.
+
+        Same cursor and offset contract as :meth:`list_project_task_ids`.
+        """
+        return self._fetch_page(
+            "get_task_runs_page", project_id, limit, start_after, offset
         )
 
     def iter_task_runs_for_project(
@@ -295,21 +277,17 @@ class PlatformClient:
     ) -> Iterator[tuple[int, list[TaskRun]]]:
         """Generate the tasks' ``(task_id, runs)`` pairs, page by page.
 
-        Streaming sibling of :meth:`get_task_runs_for_project`: identical
-        contents, but each transport round-trip carries at most *page_size*
-        tasks' runs, and each page is retried independently — a transport
-        failure mid-stream re-fetches one page, not the whole project.
+        Each transport round-trip carries at most *page_size* tasks' runs,
+        and each page is retried independently — a transport failure
+        mid-stream re-fetches one page, not the whole project.
         *start_after* is the exclusive cursor of the first page, as in
         :meth:`iter_project_task_ids`: the runs of tasks up to and including
         it are never shipped.
         """
-        cursor = start_after
-        while True:
-            page = self.get_task_runs_page(project_id, page_size, start_after=cursor)
+        for page in self._iter_pages(
+            "get_task_runs_page", project_id, page_size, start_after
+        ):
             yield from page
-            if len(page) < page_size:
-                return
-            cursor = page[-1][0]
 
     def is_task_complete(self, task_id: int) -> bool:
         """Return True when the task has all requested answers."""
@@ -352,8 +330,8 @@ class PipelinedClient(PlatformClient):
 
     Drop-in replacement for :class:`PlatformClient` (select it with
     :class:`~repro.config.PlatformConfig`\\ ``(transport="pipelined")``).
-    Three verb families change shape; everything else inherits the serial
-    behaviour:
+    Two things are scheduled differently; every verb, and every verb name
+    on the transport, is the serial client's:
 
     * :meth:`create_tasks` splits a large publish into sub-batches of
       ``batch_size`` specs and keeps up to ``max_in_flight`` of them in
@@ -363,12 +341,14 @@ class PipelinedClient(PlatformClient):
       each one retries independently inside its slot — give every spec a
       ``dedup_key`` so a replayed sub-batch is idempotent, exactly like the
       serial client's retried single batch.
-    * :meth:`iter_task_runs_for_project` / :meth:`iter_project_task_ids`
-      pump offset-addressed slices (``get_task_runs_slice``) concurrently
-      instead of chaining exclusive cursors, turning ``ceil(n /
+    * The page pump behind :meth:`iter_task_runs_for_project` /
+      :meth:`iter_project_task_ids` keeps ``max_in_flight`` pages of the
+      same paging verb in flight at successive offsets from one fixed
+      cursor instead of chaining exclusive cursors, turning ``ceil(n /
       page_size)`` serial round-trips into ``ceil(n / page_size /
       max_in_flight)`` waves.  Pages are yielded in publication order
-      regardless of arrival order.
+      regardless of arrival order; at most ``max_in_flight * page_size``
+      tasks' runs are in flight at once.
     * Every synchronous verb is a **flush-on-read barrier**: it goes
       through :meth:`AsyncTransport.call <repro.platform.transport.AsyncTransport.call>`,
       which drains all in-flight calls first — a read can never observe the
@@ -403,8 +383,7 @@ class PipelinedClient(PlatformClient):
             max_in_flight: Concurrent calls kept on the wire (ignored when
                 *transport* is already an AsyncTransport, which brings its
                 own bound).
-            batch_size: Specs per ``create_tasks`` sub-batch and the
-                default page size for slice-pumped iteration.
+            batch_size: Specs per ``create_tasks`` sub-batch.
             retry_backoff: Base delay between retried attempts, applied to
                 the synchronous path here and to the async layer's per-slot
                 retries (ignored when *transport* is already an
@@ -428,37 +407,32 @@ class PipelinedClient(PlatformClient):
 
     # -- internals ----------------------------------------------------------------
 
-    def _call_async(self, name: str, method, *args: Any) -> Future:
+    def _call_async(self, name: str, method, *args: Any, **kwargs: Any) -> Future:
         """Submit one retried call to the async transport."""
         return self.transport.call_async(
-            name, method, *args, retries=self.max_retries
+            name, method, *args, retries=self.max_retries, **kwargs
         )
 
-    def _iter_slice_pages(
-        self,
-        name: str,
-        method: Callable[..., Any],
-        project_id: int,
-        page_size: int,
-        start_after: int | None,
+    def _iter_pages(
+        self, name: str, project_id: int, page_size: int, start_after: int | None
     ) -> Iterator[list]:
-        """Yield slices in offset order while ``max_in_flight`` are fetched ahead.
+        """Yield pages in offset order while ``max_in_flight`` are fetched ahead.
 
-        Every slice is anchored to the same exclusive *start_after* cursor
-        (offsets count from the task after it), so the slices in flight
+        Every page is anchored to the same exclusive *start_after* cursor
+        (offsets count from the task after it), so the pages in flight
         stay independent of each other while the stream as a whole resumes
-        where the serial cursor iterator would.  The window submits the
-        slice at each successive offset until one comes back short — the
-        end of the project, and the end of the stream: like the serial
-        cursor iterator, nothing past the first short page is yielded, so
-        tasks appended mid-iteration can lengthen the final page but never
-        produce a gapped stream.  Slices
-        already submitted past that point are legal (they return ``[]``
-        against a quiescent project) — they are the price of not knowing
-        the project size in advance, and they overlap with useful fetches
-        instead of extending the critical path; they are settled, not
-        yielded.
+        where the serial cursor chain would.  The window submits the page
+        at each successive offset until one comes back short — the end of
+        the project, and the end of the stream: like the serial pump,
+        nothing past the first short page is yielded, so tasks appended
+        mid-iteration can lengthen the final page but never produce a
+        gapped stream.  Pages already submitted past that point are legal
+        (they return ``[]`` against a quiescent project) — they are the
+        price of not knowing the project size in advance, and they overlap
+        with useful fetches instead of extending the critical path; they
+        are settled, not yielded.
         """
+        method = getattr(self.server, name)
         window: deque[Future] = deque()
         offset = 0
         try:
@@ -466,7 +440,12 @@ class PipelinedClient(PlatformClient):
                 while len(window) < self.max_in_flight:
                     window.append(
                         self._call_async(
-                            name, method, project_id, page_size, offset, start_after
+                            name,
+                            method,
+                            project_id,
+                            page_size,
+                            start_after=start_after,
+                            offset=offset,
                         )
                     )
                     offset += page_size
@@ -484,7 +463,7 @@ class PipelinedClient(PlatformClient):
                     window.popleft().result()
                 except PlatformError:
                     # Outage or a cursor the platform does not know: the
-                    # slice that was consumed has already raised it.
+                    # page that was consumed has already raised it.
                     pass
 
     # -- pipelined verbs ----------------------------------------------------------
@@ -525,46 +504,3 @@ class PipelinedClient(PlatformClient):
         if first_error is not None:
             raise first_error
         return tasks
-
-    def iter_project_task_ids(
-        self,
-        project_id: int,
-        page_size: int | None = None,
-        start_after: int | None = None,
-    ) -> Iterator[int]:
-        """Generate the task ids with ``max_in_flight`` slices on the wire.
-
-        *page_size* defaults to this client's ``batch_size``; *start_after*
-        is the serial iterator's exclusive resume cursor.
-        """
-        for page in self._iter_slice_pages(
-            "list_project_task_ids_slice",
-            self.server.list_project_task_ids_slice,
-            project_id,
-            page_size or self.batch_size,
-            start_after,
-        ):
-            yield from page
-
-    def iter_task_runs_for_project(
-        self,
-        project_id: int,
-        page_size: int | None = None,
-        start_after: int | None = None,
-    ) -> Iterator[tuple[int, list[TaskRun]]]:
-        """Generate ``(task_id, runs)`` pairs with concurrent slice fetches.
-
-        Same contents and order as the serial iterator; at most
-        ``max_in_flight`` slices' runs are in flight at once, so peak
-        residency is bounded by ``max_in_flight * page_size`` tasks' runs.
-        *page_size* defaults to this client's ``batch_size``; *start_after*
-        is the serial iterator's exclusive resume cursor.
-        """
-        for page in self._iter_slice_pages(
-            "get_task_runs_slice",
-            self.server.get_task_runs_slice,
-            project_id,
-            page_size or self.batch_size,
-            start_after,
-        ):
-            yield from page

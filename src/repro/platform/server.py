@@ -16,19 +16,20 @@ behaviour is the original in-process simulator; with a
 crash-and-rerun: a server reconstructed on the same storage engine resumes
 with identical ids, identical dedup behaviour and working page cursors.
 
-Result retrieval comes in three shapes, from smallest to largest scope:
+Result retrieval comes in two shapes:
 
 * ``get_task_runs(task_id)`` — one task's answers (one round-trip per task,
   the seed behaviour);
-* ``get_task_runs_for_project(project_id)`` — every task's answers as one
-  dict (one round-trip, but the whole project resident in memory at once);
-* the **streaming pipeline** — ``list_project_task_ids`` /
-  ``get_task_runs_page`` return fixed-size pages in publication order with
-  an exclusive task-id cursor (the storage layer's ``scan`` contract
-  transplanted to the platform), and ``iter_task_runs_for_project`` chains
-  the pages into a generator so a project larger than memory can be
-  collected in bounded space.  Pages are stable under appends: tasks created
-  while iterating (e.g. a republish) only ever land after the cursor.
+* **pages** — ``list_project_task_ids`` / ``get_task_runs_page`` return
+  fixed-size pages in publication order, addressed by an exclusive task-id
+  cursor (the storage layer's ``scan`` contract transplanted to the
+  platform) plus an offset counted from it; the client chains them into a
+  generator so a project larger than memory can be collected in bounded
+  space.  Pages are stable under appends: tasks created while iterating
+  (e.g. a republish) only ever land after the cursor.
+
+``get_task_runs_for_project`` reads a whole project in one in-process call;
+it is not a wire verb — it is the oracle the paging tests compare against.
 """
 
 from __future__ import annotations
@@ -167,40 +168,19 @@ class PlatformServer:
 
     # -- tasks -----------------------------------------------------------------------
 
-    def create_task(
-        self,
-        project_id: int,
-        info: dict[str, Any],
-        n_assignments: int | None = None,
-        dedup_key: str | None = None,
-    ) -> Task:
-        """Publish a task in *project_id* and return it.
-
-        Args:
-            project_id: The owning project.
-            info: Task payload shown to workers.
-            n_assignments: Requested redundancy (platform default when None).
-            dedup_key: Optional client-supplied idempotency key.  When a
-                live task of the same project was already created with this
-                key, that task is returned instead of a duplicate — the
-                property that makes retried and re-run batch publishes safe.
-        """
-        self.get_project(project_id)
-        redundancy = self._check_redundancy(n_assignments)
-        return self._create_tasks(project_id, [(info, redundancy, dedup_key)])[0]
-
     def create_tasks(
         self, project_id: int, task_specs: Sequence[dict[str, Any]]
     ) -> list[Task]:
         """Publish a batch of tasks in one call; return them in spec order.
 
-        Each spec is a dict with ``info`` (required), ``n_assignments`` and
-        ``dedup_key`` (both optional) — the same parameters
-        :meth:`create_task` takes per call.  All specs are validated before
+        Each spec is a dict with ``info`` (required: the task payload shown
+        to workers), ``n_assignments`` (requested redundancy; the platform
+        default when absent or None) and ``dedup_key`` (optional
+        client-supplied idempotency key).  All specs are validated before
         any task is created, so a bad spec can never leave the batch
-        half-published; specs whose ``dedup_key`` matches an existing task
-        return that task, making the whole batch idempotent under client
-        retries and crash-and-rerun.
+        half-published; a spec whose ``dedup_key`` names a live task of the
+        same project returns that task instead of a duplicate — the
+        property that makes retried and re-run batch publishes safe.
         """
         self.get_project(project_id)
         validated: list[_ValidatedSpec] = []
@@ -376,22 +356,12 @@ class PlatformServer:
         """Delete a task and its task runs."""
         self.store.remove_task(self.get_task(task_id))
 
-    def extend_task_redundancy(self, task_id: int, extra: int) -> Task:
-        """Request *extra* additional assignments for an existing task.
+    def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
+        """Request extra assignments for a batch of tasks in one round-trip.
 
         Used by adaptive quality control: ambiguous tasks get more answers
-        after their initial assignments disagree.
-        """
-        if extra <= 0:
-            raise PlatformError(f"extra assignments must be positive, got {extra}")
-        task = self.get_task(task_id)
-        task.n_assignments += extra
-        task.completed_at = None
-        self.store.update_tasks([task])
-        return task
-
-    def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
-        """Extend several tasks' redundancy in one round-trip.
+        after their initial assignments disagree.  *extensions* maps task
+        id to the number of additional assignments.
 
         The whole batch is validated before anything mutates — an unknown
         task id or non-positive extra leaves every task untouched, so a
@@ -421,39 +391,35 @@ class PlatformServer:
         self.get_task(task_id)
         return self.store.runs_for_task(task_id)
 
-    def project_task_runs(self, project_id: int) -> list[TaskRun]:
-        """Return every task run of *project_id*, grouped by task order."""
-        self.get_project(project_id)
-        runs: list[TaskRun] = []
-        for task_runs in self.store.runs_for_tasks(
-            self.store.project_task_ids(project_id)
-        ):
-            runs.extend(task_runs)
-        return runs
-
     def get_task_runs_for_project(self, project_id: int) -> dict[int, list[TaskRun]]:
         """Return every task's runs of *project_id*, keyed by task id.
 
-        One call replaces a :meth:`get_task_runs` round-trip per task when
-        collecting a whole experiment; tasks with no answers yet map to an
-        empty list, so membership also tells the caller which cached task
-        ids the platform still knows about.
+        The one whole-project reader, in-process only (no client or wire
+        verb reaches it): the oracle the paging tests compare against.
+        Tasks with no answers yet map to an empty list.
         """
         self.get_project(project_id)
         task_ids = self.store.project_task_ids(project_id)
         return dict(zip(task_ids, self.store.runs_for_tasks(task_ids)))
 
     def _task_id_page(
-        self, project_id: int, limit: int, start_after: int | None
+        self, project_id: int, limit: int, start_after: int | None, offset: int
     ) -> list[int]:
-        """One page of task ids of *project_id* after the exclusive cursor."""
+        """One page of task ids of *project_id* — the single place a page
+        request is validated before it reaches the store."""
         if limit <= 0:
             raise PlatformError(f"page limit must be positive, got {limit}")
+        if offset < 0:
+            raise PlatformError(f"page offset must be >= 0, got {offset}")
         self.get_project(project_id)
-        return self.store.task_id_page(project_id, limit, start_after)
+        return self.store.task_id_page(project_id, limit, start_after, offset)
 
     def list_project_task_ids(
-        self, project_id: int, limit: int, start_after: int | None = None
+        self,
+        project_id: int,
+        limit: int,
+        start_after: int | None = None,
+        offset: int = 0,
     ) -> list[int]:
         """One page of the project's task ids, in publication order.
 
@@ -464,89 +430,37 @@ class PlatformServer:
         any task runs.  On a durable store the cursor survives a server
         restart: the reopened server serves the next page as if nothing
         happened.
+
+        *offset* skips that many tasks after the cursor (after the
+        project's first task when it is None).  Pages at different offsets
+        from one cursor are independent of each other, so a pipelined
+        client can fetch several concurrently, and a client that already
+        holds a prefix of the project anchors every in-flight page to the
+        same id and ships none of the prefix again.  Offsets are stable
+        under appends (new tasks only ever land at higher offsets) but
+        *not* under concurrent deletions, which shift later offsets down —
+        chaining cursors at offset 0 remains the general-purpose stream.
+        A position at or past the end returns ``[]`` rather than raising,
+        because a speculative fetch beyond the (unknown) end of the project
+        is how the pipelined iterator discovers that end.
         """
-        return self._task_id_page(project_id, limit, start_after)
+        return self._task_id_page(project_id, limit, start_after, offset)
 
     def get_task_runs_page(
-        self, project_id: int, limit: int, start_after: int | None = None
+        self,
+        project_id: int,
+        limit: int,
+        start_after: int | None = None,
+        offset: int = 0,
     ) -> list[tuple[int, list[TaskRun]]]:
         """One page of ``(task_id, task_runs)`` pairs, in publication order.
 
-        Same cursor contract as :meth:`list_project_task_ids`; at most
-        *limit* tasks' runs are materialised per call, which is what bounds
-        the memory footprint of a streaming collection.
+        Same cursor and offset contract as :meth:`list_project_task_ids`;
+        at most *limit* tasks' runs are materialised per call, which is
+        what bounds the memory footprint of a streaming collection.
         """
-        page = self._task_id_page(project_id, limit, start_after)
+        page = self._task_id_page(project_id, limit, start_after, offset)
         return list(zip(page, self.store.runs_for_tasks(page)))
-
-    def _task_id_slice(
-        self, project_id: int, limit: int, offset: int, start_after: int | None
-    ) -> list[int]:
-        """One offset-addressed slice of the project's task ids."""
-        if limit <= 0:
-            raise PlatformError(f"slice limit must be positive, got {limit}")
-        if offset < 0:
-            raise PlatformError(f"slice offset must be >= 0, got {offset}")
-        self.get_project(project_id)
-        return self.store.task_id_slice(project_id, limit, offset, start_after)
-
-    def list_project_task_ids_slice(
-        self,
-        project_id: int,
-        limit: int,
-        offset: int = 0,
-        start_after: int | None = None,
-    ) -> list[int]:
-        """One offset-addressed slice of task ids, in publication order.
-
-        Unlike the cursor pages, slices at different offsets are
-        independent of each other, so a pipelined client can fetch several
-        concurrently.  *offset* counts from the task after the exclusive
-        ``start_after`` cursor (from the project's first task when it is
-        None), so a client that already holds a prefix of the project
-        anchors every in-flight slice to the same id and ships none of the
-        prefix again; an id the project does not contain raises
-        :class:`PlatformError`, as on the cursor pages.  Slices are stable
-        under appends (new tasks only ever land at higher offsets) but,
-        unlike cursor pages, *not* under concurrent deletions, which shift
-        later offsets down — the cursor API remains the general-purpose
-        stream.  An offset at or past the end returns ``[]`` rather than
-        raising, because a speculative fetch beyond the (unknown) end of
-        the project is how the pipelined iterator discovers that end.
-        """
-        return self._task_id_slice(project_id, limit, offset, start_after)
-
-    def get_task_runs_slice(
-        self,
-        project_id: int,
-        limit: int,
-        offset: int = 0,
-        start_after: int | None = None,
-    ) -> list[tuple[int, list[TaskRun]]]:
-        """One offset-addressed slice of ``(task_id, task_runs)`` pairs.
-
-        Same offset and anchor contract as
-        :meth:`list_project_task_ids_slice`; at most *limit* tasks' runs
-        are materialised per call.
-        """
-        page = self._task_id_slice(project_id, limit, offset, start_after)
-        return list(zip(page, self.store.runs_for_tasks(page)))
-
-    def iter_task_runs_for_project(
-        self, project_id: int, page_size: int = 500
-    ) -> Iterator[tuple[int, list[TaskRun]]]:
-        """Generate every task's ``(task_id, runs)`` pair, one page at a time.
-
-        Streaming sibling of :meth:`get_task_runs_for_project`: identical
-        contents, but only *page_size* tasks' runs are resident at once.
-        """
-        cursor: int | None = None
-        while True:
-            page = self.get_task_runs_page(project_id, page_size, start_after=cursor)
-            yield from page
-            if len(page) < page_size:
-                return
-            cursor = page[-1][0]
 
     def _iter_task_id_pages(self, project_id: int) -> Iterator[list[int]]:
         """Walk a project's task-id pages — the one cursor loop every

@@ -76,7 +76,7 @@ def _cursor_error(start_after: int, project_id: int) -> PlatformError:
 
 def _page_task_ids(
     task_ids: Sequence[int],
-    limit: int | None,
+    limit: int,
     start_after: int | None,
     project_id: int,
     offset: int = 0,
@@ -86,8 +86,8 @@ def _page_task_ids(
     Shared by both store implementations so their cursor semantics cannot
     drift: ids come from a monotonic counter, so the per-project list is
     sorted and the cursor resolves by bisection rather than a linear scan.
-    *offset* skips that many ids after the cursor — the slice verbs'
-    addressing, which is the same walk anchored at the same place.
+    *offset* skips that many ids after the cursor; a position at or past
+    the end yields ``[]``.
     """
     if start_after is None:
         position = 0
@@ -97,8 +97,7 @@ def _page_task_ids(
             raise _cursor_error(start_after, project_id)
         position += 1
     position += offset
-    end = None if limit is None else position + limit
-    return list(task_ids[position:end])
+    return list(task_ids[position : position + limit])
 
 
 class TaskStore(abc.ABC):
@@ -222,32 +221,18 @@ class TaskStore(abc.ABC):
 
     @abc.abstractmethod
     def task_id_page(
-        self, project_id: int, limit: int | None, start_after: int | None
+        self, project_id: int, limit: int, start_after: int | None, offset: int = 0
     ) -> list[int]:
         """One publication-order page of task ids after the exclusive cursor.
 
+        Plain list slicing of the ids that follow *start_after* (the whole
+        project when it is None): ``ids[offset:offset + limit]``, with
+        positions past the end yielding ``[]``.  *limit* is positive and
+        *offset* non-negative — the server checks both before calling.
         Raises :class:`~repro.exceptions.PlatformError` when *start_after*
         is not currently a task of the project — the same contract
         (transplanted from the storage ``scan``) on every implementation.
         """
-
-    def task_id_slice(
-        self, project_id: int, limit: int, offset: int, start_after: int | None = None
-    ) -> list[int]:
-        """One offset-addressed slice of the project's publication-order ids.
-
-        Offset semantics are plain list slicing of the ids that follow the
-        exclusive *start_after* cursor (the whole project when it is None):
-        ``ids[offset:offset + limit]``, with offsets past the end yielding
-        ``[]`` and an unknown cursor raising like :meth:`task_id_page`.
-        Both stores keep a sorted id list per project, so the default
-        implementation is already O(project) at worst and O(slice) on the
-        durable store's cached list; it exists so the server can serve the
-        pipelined client's concurrent slice fetches without a cursor chain.
-        """
-        return _page_task_ids(
-            self.project_task_ids(project_id), limit, start_after, project_id, offset
-        )
 
     @abc.abstractmethod
     def resolve_dedup_keys(self, project_id: int, keys: Sequence[str]) -> dict[str, int]:
@@ -456,14 +441,7 @@ class MemoryTaskStore(TaskStore):
         return list(self._tasks_by_project[project_id])
 
     def task_id_page(
-        self, project_id: int, limit: int | None, start_after: int | None
-    ) -> list[int]:
-        return _page_task_ids(
-            self._tasks_by_project[project_id], limit, start_after, project_id
-        )
-
-    def task_id_slice(
-        self, project_id: int, limit: int, offset: int, start_after: int | None = None
+        self, project_id: int, limit: int, start_after: int | None, offset: int = 0
     ) -> list[int]:
         return _page_task_ids(
             self._tasks_by_project[project_id], limit, start_after, project_id, offset
@@ -884,17 +862,8 @@ class DurableTaskStore(TaskStore):
         return list(self._sorted_task_ids(project_id))
 
     def task_id_page(
-        self, project_id: int, limit: int | None, start_after: int | None
+        self, project_id: int, limit: int, start_after: int | None, offset: int = 0
     ) -> list[int]:
-        return _page_task_ids(
-            self._sorted_task_ids(project_id), limit, start_after, project_id
-        )
-
-    def task_id_slice(
-        self, project_id: int, limit: int, offset: int, start_after: int | None = None
-    ) -> list[int]:
-        # Slice the cached list directly: O(slice), not the base
-        # implementation's full project_task_ids copy per call.
         return _page_task_ids(
             self._sorted_task_ids(project_id), limit, start_after, project_id, offset
         )

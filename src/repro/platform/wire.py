@@ -103,18 +103,13 @@ WIRE_OPS = frozenset(
         "find_project",
         "get_project",
         "delete_project",
-        "create_task",
         "create_tasks",
         "get_task",
         "list_tasks",
         "delete_task",
-        "extend_task_redundancy",
         "extend_tasks_redundancy",
         "get_task_runs",
-        "get_task_runs_for_project",
         "list_project_task_ids",
-        "list_project_task_ids_slice",
-        "get_task_runs_slice",
         "get_task_runs_page",
         "is_task_complete",
         "is_project_complete",
@@ -164,7 +159,7 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, dict):
         if _TAG not in value and all(isinstance(key, str) for key in value):
             return {key: encode_value(item) for key, item in value.items()}
-        # Non-string keys (get_task_runs_for_project keys by task id) or a
+        # Non-string keys (extend_tasks_redundancy keys by task id) or a
         # payload that happens to contain the tag key itself: ship as an
         # explicit pair list so nothing is mistaken for a tagged object.
         return {
@@ -633,8 +628,8 @@ class WireServer:
             write_frame(conn, response, self.max_frame_bytes)
             return True
         except FrameTooLargeError as exc:
-            # The *result* outgrew the frame cap (a whole-project fetch of
-            # a huge project).  Tell the caller to use the paged verbs.
+            # The *result* outgrew the frame cap (a page of very large
+            # runs).  Tell the caller, who can lower the page size.
             try:
                 write_frame(conn, {"ok": False, "error": encode_error(exc)}, self.max_frame_bytes)
                 return True

@@ -69,6 +69,23 @@ def test_benchmark_catalogue_is_complete():
     assert checker.check_benchmark_catalogue() == []
 
 
+def test_wire_op_table_matches_wire_ops():
+    checker = load_checker()
+    assert checker.check_wire_ops_documented() == []
+
+
+def test_wire_op_check_catches_drift_in_both_directions(monkeypatch):
+    checker = load_checker()
+    page = checker._read(str(REPO_ROOT / checker.WIRE_DOC))
+    drifted = page.replace("| `ping` |", "| `get_task_runs_slice` |")
+    assert drifted != page
+    monkeypatch.setattr(checker, "_read", lambda path: drifted)
+    problems = checker.check_wire_ops_documented()
+    assert len(problems) == 2
+    assert any("'ping'" in problem for problem in problems)
+    assert any("'get_task_runs_slice'" in problem for problem in problems)
+
+
 def test_docs_check_passes_end_to_end():
     """The exact check `make docs-check` runs, quickstart included."""
     checker = load_checker()

@@ -52,7 +52,7 @@ def run_workflow(client: PlatformClient, project_name: str) -> dict:
     project = client.create_project(project_name)
     tasks = client.create_tasks(project.project_id, make_specs("obj", 12, 2))
     created = client.simulate_work(project_id=project.project_id)
-    runs = client.get_task_runs_for_project(project.project_id)
+    runs = dict(client.iter_task_runs_for_project(project.project_id))
     return {
         "project_id": project.project_id,
         "task_ids": [task.task_id for task in tasks],

@@ -48,7 +48,7 @@ POLICY = AdaptivePolicy(
 #: Crowd rounds one adaptive step can take: the first, then top-ups of
 #: ``extra_per_round`` until ``max_assignments``.
 ADAPTIVE_ROUNDS = 1 + -(-(POLICY.max_assignments - POLICY.initial_assignments) // POLICY.extra_per_round)
-RUN_VERBS = frozenset({"get_task_runs_page", "get_task_runs_slice"})
+RUN_VERB = "get_task_runs_page"
 CACHE_TABLES = ("stream::tasks", "stream::results")
 
 
@@ -62,7 +62,7 @@ class RunCountingTransport(Transport):
 
     def call(self, name, method, *args, **kwargs):
         result = self.inner.call(name, method, *args, **kwargs)
-        if name in RUN_VERBS:
+        if name == RUN_VERB:
             with self._lock:
                 self.runs_returned += sum(len(runs) for _, runs in result)
         return result

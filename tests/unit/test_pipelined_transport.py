@@ -3,7 +3,7 @@
 Covers the :class:`AsyncTransport` concurrency layer (bounded in-flight
 window, ticket-ordered server application, flush-on-read barrier), the
 :class:`PipelinedClient` facade (in-flight ``create_tasks`` sub-batches,
-slice-pumped iteration), the buffered manipulation log, and — the hard
+offset-pumped page iteration), the buffered manipulation log, and — the hard
 part — the fault-injection scenarios where a failure lands on an in-flight
 batch: no duplicate tasks, no lost appends, retries attributed to the right
 call name.
@@ -301,39 +301,22 @@ class TestPipelinedClientEquivalence:
         assert client.transport.in_flight == 0
         client.close()
 
-    def test_slice_stream_ends_at_the_first_short_page(self):
-        """Nothing past the first short slice is yielded — even when a
-        speculative later slice comes back non-empty (tasks appended
-        mid-iteration), the stream must match the serial cursor iterator,
+    def test_page_stream_ends_at_the_first_short_page(self):
+        """Nothing past the first short page is yielded — even when a
+        speculative later page comes back non-empty (tasks appended
+        mid-iteration), the stream must match the serial cursor chain,
         which ends at the short page rather than yielding a gapped tail."""
         client = PipelinedClient(make_server(), batch_size=10, max_in_flight=4)
         pages = {0: list(range(4)), 4: [4, 5], 8: [12, 13, 14, 15]}
 
-        def fake_slice(project_id, limit, offset, start_after):
+        def fake_page(project_id, limit, start_after, offset):
             return pages.get(offset, [])
 
-        yielded = list(client._iter_slice_pages("fake", fake_slice, 1, 4, None))
+        client.server.list_project_task_ids = fake_page
+        yielded = list(client._iter_pages("list_project_task_ids", 1, 4, None))
         assert yielded == [[0, 1, 2, 3], [4, 5]]
         assert client.transport.in_flight == 0
         client.close()
-
-    def test_slice_verbs_match_cursor_pages(self):
-        client = PlatformClient(make_server())
-        project = client.create_project("p")
-        client.create_tasks(project.project_id, task_specs(55))
-        cursor_ids = list(client.iter_project_task_ids(project.project_id, 10))
-        slice_ids = []
-        for offset in range(0, 70, 10):
-            slice_ids.extend(
-                client.list_project_task_ids_slice(project.project_id, 10, offset)
-            )
-        assert slice_ids == cursor_ids
-        # Past-the-end slices are empty, not errors.
-        assert client.get_task_runs_slice(project.project_id, 10, 1000) == []
-        with pytest.raises(PlatformError):
-            client.list_project_task_ids_slice(project.project_id, 0, 0)
-        with pytest.raises(PlatformError):
-            client.get_task_runs_slice(project.project_id, 10, -1)
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):

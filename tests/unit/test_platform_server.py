@@ -30,6 +30,18 @@ def server(request, tmp_path):
         store.close()
 
 
+def create_task(server, project_id, info, n_assignments=None, dedup_key=None):
+    """Publish one task as a one-spec batch (the server's only publish verb)."""
+    spec = {"info": info, "n_assignments": n_assignments, "dedup_key": dedup_key}
+    return server.create_tasks(project_id, [spec])[0]
+
+
+def project_runs(server, project_id):
+    """Every task run of the project, flattened in task order."""
+    runs_by_task = server.get_task_runs_for_project(project_id)
+    return [run for runs in runs_by_task.values() for run in runs]
+
+
 class TestModels:
     def test_project_roundtrip(self):
         project = Project(project_id=1, name="p", short_name="p", description="d")
@@ -70,7 +82,7 @@ class TestProjects:
 
     def test_delete_project_removes_tasks(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"})
+        task = create_task(server, project.project_id, {"object": "x"})
         server.delete_project(project.project_id)
         with pytest.raises(ProjectNotFoundError):
             server.get_project(project.project_id)
@@ -87,31 +99,31 @@ class TestProjects:
 class TestTasks:
     def test_create_task_uses_default_redundancy(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"})
+        task = create_task(server, project.project_id, {"object": "x"})
         assert task.n_assignments == server.config.default_redundancy
 
     def test_create_task_overrides_redundancy(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"}, n_assignments=7)
+        task = create_task(server, project.project_id, {"object": "x"}, n_assignments=7)
         assert task.n_assignments == 7
 
     def test_create_task_rejects_bad_redundancy(self, server):
         project = server.create_project("p")
         with pytest.raises(PlatformError):
-            server.create_task(project.project_id, {"object": "x"}, n_assignments=0)
+            create_task(server, project.project_id, {"object": "x"}, n_assignments=0)
 
     def test_create_task_unknown_project(self, server):
         with pytest.raises(ProjectNotFoundError):
-            server.create_task(42, {"object": "x"})
+            create_task(server, 42, {"object": "x"})
 
     def test_list_tasks_in_publication_order(self, server):
         project = server.create_project("p")
-        ids = [server.create_task(project.project_id, {"i": i}).task_id for i in range(5)]
+        ids = [create_task(server, project.project_id, {"i": i}).task_id for i in range(5)]
         assert [task.task_id for task in server.list_tasks(project.project_id)] == ids
 
     def test_delete_task(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x"})
+        task = create_task(server, project.project_id, {"object": "x"})
         server.delete_task(task.task_id)
         assert server.list_tasks(project.project_id) == []
 
@@ -129,8 +141,8 @@ class TestBatchPublish:
 
     def test_batch_redundancy_matches_single_publish(self, server):
         project = server.create_project("p")
-        single_default = server.create_task(project.project_id, {"object": "a"})
-        single_custom = server.create_task(project.project_id, {"object": "b"}, 7)
+        single_default = create_task(server, project.project_id, {"object": "a"})
+        single_custom = create_task(server, project.project_id, {"object": "b"}, 7)
         batch_default, batch_custom = server.create_tasks(
             project.project_id,
             [{"info": {"object": "c"}}, {"info": {"object": "d"}, "n_assignments": 7}],
@@ -163,7 +175,7 @@ class TestBatchPublish:
 
     def test_dedup_is_shared_between_single_and_batch_publish(self, server):
         project = server.create_project("p")
-        single = server.create_task(project.project_id, {"i": 0}, dedup_key="k0")
+        single = create_task(server, project.project_id, {"i": 0}, dedup_key="k0")
         (batched,) = server.create_tasks(
             project.project_id, [{"info": {"i": 0}, "dedup_key": "k0"}]
         )
@@ -172,15 +184,15 @@ class TestBatchPublish:
     def test_dedup_is_scoped_per_project(self, server):
         first = server.create_project("p1")
         second = server.create_project("p2")
-        task_a = server.create_task(first.project_id, {"i": 0}, dedup_key="k")
-        task_b = server.create_task(second.project_id, {"i": 0}, dedup_key="k")
+        task_a = create_task(server, first.project_id, {"i": 0}, dedup_key="k")
+        task_b = create_task(server, second.project_id, {"i": 0}, dedup_key="k")
         assert task_a.task_id != task_b.task_id
 
     def test_deleted_task_is_not_resurrected_by_dedup(self, server):
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"i": 0}, dedup_key="k")
+        task = create_task(server, project.project_id, {"i": 0}, dedup_key="k")
         server.delete_task(task.task_id)
-        fresh = server.create_task(project.project_id, {"i": 0}, dedup_key="k")
+        fresh = create_task(server, project.project_id, {"i": 0}, dedup_key="k")
         assert fresh.task_id != task.task_id
 
     def test_get_task_runs_for_project_covers_every_task(self, server):
@@ -218,7 +230,7 @@ class TestBatchPublish:
         single = build_server()
         project = single.create_project("p")
         for info in infos:
-            single.create_task(project.project_id, info, 3)
+            create_task(single, project.project_id, info, 3)
         single.simulate_work(project.project_id)
 
         batch = build_server()
@@ -230,11 +242,11 @@ class TestBatchPublish:
 
         single_runs = [
             (run.task_id, run.worker_id, run.answer)
-            for run in single.project_task_runs(project.project_id)
+            for run in project_runs(single, project.project_id)
         ]
         batch_runs = [
             (run.task_id, run.worker_id, run.answer)
-            for run in batch.project_task_runs(project_b.project_id)
+            for run in project_runs(batch, project_b.project_id)
         ]
         assert single_runs == batch_runs
 
@@ -331,13 +343,14 @@ class TestBatchBudgetCharging:
 class TestWorkSimulation:
     def test_pending_assignments_counts_missing_answers(self, server):
         project = server.create_project("p")
-        server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
-        server.create_task(project.project_id, {"object": "y", "_true_answer": "No"}, 2)
+        create_task(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
+        create_task(server, project.project_id, {"object": "y", "_true_answer": "No"}, 2)
         assert server.pending_assignments(project.project_id) == 5
 
     def test_simulate_work_fills_all_assignments(self, server):
         project = server.create_project("p")
-        task = server.create_task(
+        task = create_task(
+            server,
             project.project_id,
             {"object": "x", "candidates": ["Yes", "No"], "_true_answer": "Yes"},
             3,
@@ -349,13 +362,14 @@ class TestWorkSimulation:
 
     def test_simulate_work_is_idempotent_once_complete(self, server):
         project = server.create_project("p")
-        server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
+        create_task(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
         server.simulate_work(project.project_id)
         assert server.simulate_work(project.project_id) == 0
 
     def test_task_runs_have_distinct_workers(self, server):
         project = server.create_project("p")
-        task = server.create_task(
+        task = create_task(
+            server,
             project.project_id,
             {"object": "x", "candidates": ["Yes", "No"], "_true_answer": "Yes"},
             5,
@@ -368,22 +382,22 @@ class TestWorkSimulation:
         pool = WorkerPool.uniform(size=2, accuracy=0.9, seed=1)
         server = PlatformServer(worker_pool=pool, config=PlatformConfig(seed=1))
         project = server.create_project("p")
-        task = server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 4)
+        task = create_task(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 4)
         server.simulate_work(project.project_id)
         assert len(server.get_task_runs(task.task_id)) == 4
 
     def test_max_assignments_limits_progress(self, server):
         project = server.create_project("p")
         for index in range(4):
-            server.create_task(project.project_id, {"object": index, "_true_answer": "Yes"}, 3)
+            create_task(server, project.project_id, {"object": index, "_true_answer": "Yes"}, 3)
         created = server.simulate_work(project.project_id, max_assignments=5)
         assert created == 5
         assert server.pending_assignments(project.project_id) == 7
 
     def test_assignment_order_and_timestamps_increase(self, server):
         project = server.create_project("p")
-        task = server.create_task(
-            project.project_id, {"object": "x", "_true_answer": "Yes"}, 3
+        task = create_task(
+            server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 3
         )
         server.simulate_work(project.project_id)
         runs = server.get_task_runs(task.task_id)
@@ -396,7 +410,8 @@ class TestWorkSimulation:
         pool = WorkerPool.uniform(size=5, accuracy=1.0, seed=1)
         server = PlatformServer(worker_pool=pool, config=PlatformConfig(seed=1))
         project = server.create_project("p")
-        task = server.create_task(
+        task = create_task(
+            server,
             project.project_id,
             {"object": "x", "candidates": ["Yes", "No"], "_true_answer": "No"},
             3,
@@ -412,15 +427,18 @@ class TestWorkSimulation:
             answer_oracle=lambda info: "Cat" if "cat" in str(info["object"]) else "Dog",
         )
         project = server.create_project("p")
-        task = server.create_task(
-            project.project_id, {"object": "a cat picture", "candidates": ["Cat", "Dog"]}, 2
+        task = create_task(
+            server,
+            project.project_id,
+            {"object": "a cat picture", "candidates": ["Cat", "Dog"]},
+            2,
         )
         server.simulate_work()
         assert {run.answer for run in server.get_task_runs(task.task_id)} == {"Cat"}
 
     def test_statistics(self, server):
         project = server.create_project("p")
-        server.create_task(project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
+        create_task(server, project.project_id, {"object": "x", "_true_answer": "Yes"}, 3)
         server.simulate_work()
         stats = server.statistics()
         assert stats["projects"] == 1

@@ -46,6 +46,12 @@ def build_server(store=None, seed=1, pool_size=10):
     )
 
 
+def project_runs(server, project_id):
+    """Every task run of the project, flattened in task order."""
+    runs_by_task = server.get_task_runs_for_project(project_id)
+    return [run for runs in runs_by_task.values() for run in runs]
+
+
 def publish_project(server, num_tasks=NUM_TASKS, redundancy=2):
     project = server.create_project("exp")
     tasks = server.create_tasks(
@@ -209,7 +215,7 @@ class TestStoreEquivalence:
         server.simulate_work(project.project_id)
         runs = [
             (run.run_id, run.task_id, run.worker_id, run.answer, run.assignment_order)
-            for run in server.project_task_runs(project.project_id)
+            for run in project_runs(server, project.project_id)
         ]
         stats = server.statistics()
         return (
@@ -238,7 +244,9 @@ class TestServerRestart:
         assert [task.task_id for task in replayed] == ids
         assert reopened.statistics()["tasks"] == NUM_TASKS
         # Fresh ids continue after the highest pre-restart id.
-        extra = reopened.create_task(project.project_id, {"i": "x"}, 1)
+        (extra,) = reopened.create_tasks(
+            project.project_id, [{"info": {"i": "x"}, "n_assignments": 1}]
+        )
         assert extra.task_id == max(ids) + 1
 
     def test_restart_mid_simulation_completes_exactly_once(self, sqlite_engine):
@@ -254,7 +262,7 @@ class TestServerRestart:
         assert reopened.is_project_complete(project.project_id)
         assert reopened.statistics()["task_runs"] == NUM_TASKS * 2
         # Every run id is distinct across the restart boundary.
-        runs = reopened.project_task_runs(project.project_id)
+        runs = project_runs(reopened, project.project_id)
         assert len({run.run_id for run in runs}) == len(runs)
 
     def test_timestamps_never_regress_across_restart(self, sqlite_engine):
@@ -263,7 +271,7 @@ class TestServerRestart:
         server = build_server(DurableTaskStore(sqlite_engine))
         project, _ = publish_project(server, redundancy=2)
         server.simulate_work(project.project_id, max_assignments=9)
-        runs_before = server.project_task_runs(project.project_id)
+        runs_before = project_runs(server, project.project_id)
         latest = max(run.submitted_at for run in runs_before)
         seen_ids = {run.run_id for run in runs_before}
         del server
@@ -271,7 +279,7 @@ class TestServerRestart:
         reopened = build_server(DurableTaskStore(sqlite_engine))
         assert reopened.clock.now >= latest
         reopened.simulate_work(project.project_id)
-        for run in reopened.project_task_runs(project.project_id):
+        for run in project_runs(reopened, project.project_id):
             if run.run_id not in seen_ids:
                 assert run.submitted_at > latest
         for task in reopened.list_tasks(project.project_id):

@@ -69,7 +69,8 @@ def publish(server, num_tasks=NUM_TASKS):
 def final_state(server, project):
     """Every task and run of *project* as the dicts the store persists."""
     tasks = server.list_tasks(project.project_id)
-    runs = server.project_task_runs(project.project_id)
+    runs_by_task = server.get_task_runs_for_project(project.project_id)
+    runs = [run for task_runs in runs_by_task.values() for run in task_runs]
     return (
         [task.to_dict() for task in tasks],
         [run.to_dict() for run in runs],

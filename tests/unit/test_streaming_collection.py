@@ -4,7 +4,8 @@ Three layers of proof:
 
 * platform level — ``iter_task_runs_for_project`` / ``list_project_task_ids``
   page through a project with the storage-style exclusive cursor and
-  reassemble to exactly ``get_task_runs_for_project``, with round-trip
+  reassemble to exactly the server's in-process whole-project oracle
+  (``PlatformServer.get_task_runs_for_project``), with round-trip
   counts of ``ceil(tasks / page_size)`` (via :class:`CountingTransport`);
 * CrowdData level — a project with more rows than ``collect_page_size``
   collects the identical result column through the streaming path and the
@@ -13,7 +14,8 @@ Three layers of proof:
   flush) reruns to the identical final state with zero re-collected answers
   and no overwritten cache records;
 * resume level — both streams start after an exclusive ``start_after``
-  cursor (cursor pages and anchored slices alike), and a collected prefix
+  cursor (the offset side of the page contract is
+  ``tests/property/test_prop_paging.py``), and a collected prefix
   whose cursor a redeployed platform does not know falls back to the whole
   project and heals, on direct and pipelined clients.
 """
@@ -73,15 +75,10 @@ def populated_project(request):
 class TestPlatformPaging:
     def test_stream_reassembles_to_batched_map(self, populated_project):
         client, project, _ = populated_project
-        batched = client.get_task_runs_for_project(project.project_id)
+        batched = client.server.get_task_runs_for_project(project.project_id)
         streamed = dict(client.iter_task_runs_for_project(project.project_id, PAGE_SIZE))
         assert streamed == batched
         assert list(streamed) == list(batched)  # same publication order
-        # The server-side generator yields the identical stream.
-        server_streamed = dict(
-            client.server.iter_task_runs_for_project(project.project_id, PAGE_SIZE)
-        )
-        assert server_streamed == batched
 
     def test_paging_survives_task_deletion(self, populated_project):
         client, project, _ = populated_project
@@ -102,6 +99,25 @@ class TestPlatformPaging:
         assert transport.calls_by_name["get_task_runs_page"] == math.ceil(
             NUM_OBJECTS / PAGE_SIZE
         )
+
+    def test_chained_cursor_requests_carry_no_offset(self, populated_project):
+        """The serial pump addresses pages by cursor alone: its requests are
+        the frames they were before pages had offsets."""
+        client, project, transport = populated_project
+        requests = []
+        count = transport.call
+
+        def spy(name, method, *args, **kwargs):
+            requests.append((args, kwargs))
+            return count(name, method, *args, **kwargs)
+
+        transport.call = spy
+        ids = list(client.iter_project_task_ids(project.project_id, PAGE_SIZE))
+        list(client.iter_task_runs_for_project(project.project_id, PAGE_SIZE, ids[2]))
+        assert len(requests) == 2 * math.ceil(NUM_OBJECTS / PAGE_SIZE)
+        for args, kwargs in requests:
+            assert args == (project.project_id, PAGE_SIZE)
+            assert list(kwargs) == ["start_after"]
 
     def test_every_page_is_bounded_by_page_size(self, populated_project):
         client, project, _ = populated_project
@@ -165,7 +181,6 @@ class TestStreamingCrowdDataCollection:
         assert transport.calls_by_name["list_project_task_ids"] == pages
         # The seed behaviour this replaced: one get_task_runs call per row.
         assert "get_task_runs" not in transport.calls_by_name
-        assert "get_task_runs_for_project" not in transport.calls_by_name
 
     def test_cache_flushes_are_bounded_by_page_size(self, tmp_path):
         durable = SqliteEngine(str(tmp_path / "bounded.db"))
@@ -243,18 +258,12 @@ class TestResumeAfterCollectedPrefix:
             assert list(
                 client.iter_task_runs_for_project(pid, PAGE_SIZE, start_after=cursor)
             ) == runs[position + 1 :]
-        # Slices count their offset from the task after the anchor.
-        assert client.list_project_task_ids_slice(pid, 4, 2, ids[6]) == ids[9:13]
-        assert client.get_task_runs_slice(pid, 4, 2, ids[6]) == runs[9:13]
-        assert client.list_project_task_ids_slice(pid, 4, NUM_OBJECTS, ids[6]) == []
         # A cursor of another project is as unknown as one that never existed.
         for unknown in (foreign[0].task_id, 99999):
             with pytest.raises(PlatformError):
                 list(client.iter_project_task_ids(pid, PAGE_SIZE, start_after=unknown))
             with pytest.raises(PlatformError):
                 list(client.iter_task_runs_for_project(pid, PAGE_SIZE, start_after=unknown))
-            with pytest.raises(PlatformError):
-                client.get_task_runs_slice(pid, 4, 0, unknown)
         client.close()
 
     def test_redeployed_platform_with_a_collected_prefix_self_heals(self, kind, tmp_path):
@@ -310,6 +319,6 @@ class TestResumeAfterCollectedPrefix:
                 (NUM_OBJECTS - 10) / PAGE_SIZE
             )
         else:
-            assert transport.calls_by_name["list_project_task_ids_slice"] >= 2
+            assert transport.calls_by_name["list_project_task_ids"] >= 2
         second.close()
         durable.close()

@@ -10,6 +10,7 @@ inside a header, oversized frames in both directions) are deterministic.
 
 from __future__ import annotations
 
+import inspect
 import random
 import socket
 import threading
@@ -28,7 +29,8 @@ from repro.exceptions import (
 from repro.platform.models import Project, Task, TaskRun
 from repro.platform.server import PlatformServer
 from repro.platform.store import DurableTaskStore
-from repro.platform.transport import retry_call
+from repro.platform.client import PipelinedClient, PlatformClient
+from repro.platform.transport import CountingTransport, retry_call
 from repro.platform.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameTooLargeError,
@@ -354,8 +356,8 @@ class TestWireServerClient:
                 assert len(tasks) == len(SPECS)
                 created = client.simulate_work(project_id=project.project_id)
                 assert created == len(SPECS) * 2
-                runs = client.get_task_runs_for_project(project.project_id)
-                assert set(runs) == {task.task_id for task in tasks}
+                runs = dict(client.iter_task_runs_for_project(project.project_id, 2))
+                assert list(runs) == [task.task_id for task in tasks]
                 assert all(len(answers) == 2 for answers in runs.values())
                 assert client.is_project_complete(project.project_id)
             finally:
@@ -515,22 +517,79 @@ class TestWireServerClient:
             finally:
                 client.close()
 
-    def test_wire_ops_cover_every_client_verb(self):
-        # Every verb PlatformClient routes through its transport must be
-        # dispatchable, or a remote client is strictly weaker than a local
-        # one.  (iter_* helpers are client-side loops over paged verbs.)
-        import inspect
-
-        from repro.platform.client import PlatformClient
-
-        verbs = {
-            name
-            for name, member in inspect.getmembers(
-                PlatformClient, predicate=inspect.isfunction
+    @pytest.mark.parametrize("client_class", [PlatformClient, PipelinedClient])
+    def test_wire_ops_are_exactly_what_the_clients_send(self, client_class):
+        # Equality in both directions: an op no client sends is dead
+        # surface, and a client verb the wire cannot dispatch makes a
+        # remote client strictly weaker than a local one.  WireClient
+        # inherits every method driven here.
+        transport = CountingTransport()
+        if client_class is PipelinedClient:
+            client = PipelinedClient(
+                make_platform(), transport=transport, batch_size=2, max_in_flight=2
             )
+        else:
+            client = PlatformClient(make_platform(), transport=transport)
+        try:
+            driven = drive_every_public_method(client)
+        finally:
+            client.close()
+        public = {
+            name
+            for name, _ in inspect.getmembers(client_class, inspect.isfunction)
             if not name.startswith("_")
-            and not name.startswith("iter_")
-            and name not in {"close", "statistics"}
         }
-        verbs.add("statistics")
-        assert verbs <= WIRE_OPS
+        # A new public method must be added to the drive list.
+        assert driven | {"close"} == public
+        sent = set(transport.calls_by_name)
+        assert sent | {"require_auth", "ping", "flush"} == WIRE_OPS == FROZEN_WIRE_OPS
+        assert len(WIRE_OPS) == 20
+
+
+#: The wire surface, frozen: adding or dropping an op is a reviewed edit
+#: here, in ``WIRE_OPS`` and in the ``docs/wire.md`` table at once.
+FROZEN_WIRE_OPS = frozenset(
+    """
+    require_auth ping flush
+    create_project find_project get_project delete_project
+    create_tasks get_task list_tasks delete_task extend_tasks_redundancy
+    get_task_runs list_project_task_ids get_task_runs_page
+    is_task_complete is_project_complete pending_assignments
+    simulate_work statistics
+    """.split()
+)
+
+
+def drive_every_public_method(client: PlatformClient) -> set[str]:
+    """Call each public client method once; return the method names called."""
+    project = client.create_project("surface")
+    pid = project.project_id
+    tasks = client.create_tasks(pid, SPECS)  # > batch_size: pipelined sub-batches
+    first = tasks[0].task_id
+    doomed = client.create_project("doomed").project_id
+    drives = {
+        "find_project": lambda: client.find_project("surface"),
+        "get_project": lambda: client.get_project(pid),
+        "create_task": lambda: client.create_task(pid, {"url": "one"}, 1, "one"),
+        "get_task": lambda: client.get_task(first),
+        "list_tasks": lambda: client.list_tasks(pid),
+        "extend_task_redundancy": lambda: client.extend_task_redundancy(first, 1),
+        "extend_tasks_redundancy": lambda: client.extend_tasks_redundancy({first: 1}),
+        "simulate_work": lambda: client.simulate_work(project_id=pid),
+        "get_task_runs": lambda: client.get_task_runs(first),
+        "list_project_task_ids": lambda: client.list_project_task_ids(pid, 2, first, 1),
+        "get_task_runs_page": lambda: client.get_task_runs_page(pid, 2, first, 1),
+        "iter_project_task_ids": lambda: list(client.iter_project_task_ids(pid, 2)),
+        "iter_task_runs_for_project": lambda: list(
+            client.iter_task_runs_for_project(pid, 2)
+        ),
+        "is_task_complete": lambda: client.is_task_complete(first),
+        "is_project_complete": lambda: client.is_project_complete(pid),
+        "pending_assignments": lambda: client.pending_assignments(pid),
+        "statistics": lambda: client.statistics(),
+        "delete_task": lambda: client.delete_task(first),
+        "delete_project": lambda: client.delete_project(doomed),
+    }
+    for drive in drives.values():
+        drive()
+    return {"create_project", "create_tasks", *drives}

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: lint the docs set, then smoke the quickstart.
 
-Five checks, all cheap enough for tier-1 (see ``make docs-check`` and
+Six checks, all cheap enough for tier-1 (see ``make docs-check`` and
 ``tests/integration/test_docs_check.py``):
 
 1. **Link lint** — every relative link or image target in ``README.md`` and
@@ -19,7 +19,10 @@ Five checks, all cheap enough for tier-1 (see ``make docs-check`` and
 4. **Benchmark catalogue** — every ``benchmarks/bench_*.py`` file must
    appear in ``docs/benchmarks.md``, keeping the catalogue unable to go
    stale.
-5. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
+5. **Wire-op table** — the op table of ``docs/wire.md`` must list exactly
+   the ops in ``repro.platform.wire.WIRE_OPS``: the wire surface cannot
+   change without its documentation changing with it.
+6. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
    a throwaway database and its output must prove the fault-recovery
    guarantee the README promises: the second run publishes zero new tasks.
 
@@ -48,6 +51,9 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 
 #: The catalogue page every benchmark file must appear in.
 BENCH_CATALOGUE = os.path.join("docs", "benchmarks.md")
+
+#: The page whose op table must equal ``WIRE_OPS``.
+WIRE_DOC = os.path.join("docs", "wire.md")
 
 
 def iter_doc_files() -> list[str]:
@@ -174,6 +180,29 @@ def check_benchmark_catalogue() -> list[str]:
     return problems
 
 
+def check_wire_ops_documented() -> list[str]:
+    """The op table of docs/wire.md must equal ``WIRE_OPS``, both ways."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    try:
+        from repro.platform.wire import WIRE_OPS
+    finally:
+        sys.path.pop(0)
+    wire_doc = os.path.join(REPO_ROOT, WIRE_DOC)
+    if not os.path.exists(wire_doc):
+        return [f"missing wire protocol page: {WIRE_DOC}"]
+    # The table is the rows whose leading cell is one lone code span.
+    documented = set(re.findall(r"^\|\s*`(\w+)`\s*\|", _read(wire_doc), re.MULTILINE))
+    problems = [
+        f"{WIRE_DOC}: wire op {op!r} is in WIRE_OPS but not in the op table"
+        for op in sorted(WIRE_OPS - documented)
+    ]
+    problems.extend(
+        f"{WIRE_DOC}: the op table lists {op!r}, which is not in WIRE_OPS"
+        for op in sorted(documented - WIRE_OPS)
+    )
+    return problems
+
+
 def run_quickstart() -> list[str]:
     """Run the quickstart headlessly; return problems (empty when healthy)."""
     env = dict(os.environ)
@@ -223,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     problems.extend(check_cross_links(existing))
     problems.extend(check_config_field_coverage(existing))
     problems.extend(check_benchmark_catalogue())
+    problems.extend(check_wire_ops_documented())
     if not args.skip_quickstart:
         problems.extend(run_quickstart())
 
@@ -234,7 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     quickstart_note = "skipped" if args.skip_quickstart else "ok"
     print(
         f"docs-check: {checked} markdown file(s) link-clean and cross-linked, "
-        f"config fields + benchmark catalogue covered, quickstart {quickstart_note}"
+        "config fields + benchmark catalogue + wire ops covered, "
+        f"quickstart {quickstart_note}"
     )
     return 0
 
