@@ -72,8 +72,10 @@ bench-trend:
 # paper scale); prints top-25 by cumulative time, saves .pstats under
 # benchmarks/results/.  `make profile E0=stream_sqlite` profiles one cold
 # repetition of that E0 program instead (full sizes unless SCALE=smoke).
+# SORT=tottime ranks by own time; CALLERS='<regex>' adds the callers of the
+# matching functions.
 profile:
-	PYTHONPATH=src python tools/profile_bench.py $(if $(SCALE),--scale $(SCALE)) $(if $(E0),--e0 $(E0)) --top 25
+	PYTHONPATH=src python tools/profile_bench.py $(if $(SCALE),--scale $(SCALE)) $(if $(E0),--e0 $(E0)) $(if $(SORT),--sort $(SORT)) $(if $(CALLERS),--callers '$(CALLERS)') --top 25
 
 # Lint README/docs links + cross-links, check config-field and benchmark
 # coverage, and run examples/quickstart.py headlessly.

@@ -200,7 +200,8 @@ class PlatformServer:
         whole batch plus one liveness check on the named tasks — a stale
         mapping left by a deleted task must not resurrect it).  The
         remaining specs get consecutive ids from one counter reservation and
-        land in the store as a single ``add_tasks`` batch, so the durable
+        land in the store as one ``stage_tasks`` / ``claim_dedup_keys`` /
+        ``add_tasks`` sequence that writes each record once, so the durable
         cost of a publish stays O(1) engine round-trips in the batch size.
 
         The resolve step is only an advisory fast path: between it and the
@@ -277,23 +278,20 @@ class PlatformServer:
             for task, (_, _, key) in zip(created, new_specs)
             if key is not None
         ]
-        winners: dict[str, int] = {}
-        if keyed:
-            # Stage our candidate records *before* claiming (record-first,
-            # like put_project): any server whose claim beats ours has
-            # already staged, so a lost claim always resolves to a live
-            # winner record rather than racing the winner's add_tasks.
-            self.store.stage_tasks(
-                [task for task, (_, _, key) in zip(created, new_specs) if key is not None]
-            )
-            winners = self.store.claim_dedup_keys(project_id, keyed)
+        # Stage our candidate records *before* claiming (record-first,
+        # like put_project): any server whose claim beats ours has
+        # already staged, so a lost claim always resolves to a live
+        # winner record rather than racing the winner's add_tasks.  This
+        # is the one write the records get; un-keyed ones ride along.
+        self.store.stage_tasks(created)
+        winners = self.store.claim_dedup_keys(project_id, keyed) if keyed else {}
 
         # A lost claim names a task some other server just created; fetch
         # those tasks in one read.  A winner id whose task is *dead* means
         # the claim lost to a stale mapping (its task was deleted after the
-        # liveness fast path) — treat that as won: keep our task, and let
-        # add_tasks overwrite the mapping, exactly as the store contract
-        # for stale keys has always promised.
+        # liveness fast path) — treat that as won: keep our task, and hand
+        # add_tasks the key so it overwrites the mapping, exactly as the
+        # store contract for stale keys has always promised.
         ours = dict(keyed)
         lost = {
             key: task_id for key, task_id in winners.items() if task_id != ours[key]
@@ -320,7 +318,8 @@ class PlatformServer:
                 continue
             materialised.append(task)
             kept.append(task)
-            kept_keys.append(key)
+            # A claim we won already wrote its mapping.
+            kept_keys.append(key if key in lost else None)
         if discarded:
             # Our staged records for lost claims would otherwise leak as
             # unreachable rows.
@@ -369,18 +368,18 @@ class PlatformServer:
         half-applied batch from a rejected request.  Returns the updated
         tasks in the batch's iteration order.
         """
-        items: list[tuple[Task, int]] = []
-        for task_id, extra in extensions.items():
+        tasks = self.store.get_tasks(list(extensions))
+        for task, (task_id, extra) in zip(tasks, extensions.items()):
             if extra <= 0:
                 raise PlatformError(
                     f"extra assignments must be positive, got {extra} "
                     f"for task {task_id}"
                 )
-            items.append((self.get_task(task_id), extra))
-        for task, extra in items:
+            if task is None:
+                raise TaskNotFoundError(task_id)
+        for task, extra in zip(tasks, extensions.values()):
             task.n_assignments += extra
             task.completed_at = None
-        tasks = [task for task, _ in items]
         self.store.update_tasks(tasks)
         return tasks
 
@@ -462,26 +461,21 @@ class PlatformServer:
         page = self._task_id_page(project_id, limit, start_after, offset)
         return list(zip(page, self.store.runs_for_tasks(page)))
 
-    def _iter_task_id_pages(self, project_id: int) -> Iterator[list[int]]:
-        """Walk a project's task-id pages — the one cursor loop every
-        internal whole-project walk shares."""
-        cursor: int | None = None
-        while True:
-            page = self.store.task_id_page(project_id, self._work_page_size, cursor)
-            if page:
-                yield page
-            if len(page) < self._work_page_size:
-                return
-            cursor = page[-1]
+    def _iter_open_pages(self, project_id: int) -> Iterator[list[int]]:
+        """Walk the project's open-task frontier (the ids of its unstamped
+        tasks, ascending) in ``_work_page_size`` pages — everything else in
+        the project is stamped, hence complete, and is never read."""
+        open_ids = self.store.open_task_ids(project_id)
+        for start in range(0, len(open_ids), self._work_page_size):
+            yield open_ids[start : start + self._work_page_size]
 
-    def _iter_task_run_counts(self, project_id: int) -> Iterator[tuple[Task, int]]:
-        """Walk ``(task, collected-run count)`` pairs in bounded memory.
+    def _iter_open_task_run_counts(self, project_id: int) -> Iterator[tuple[Task, int]]:
+        """Walk ``(task, collected-run count)`` pairs of the open tasks.
 
-        One id page, one bulk task read and one bulk run-count read per
-        ``_work_page_size`` chunk, so completion checks over a project
-        larger than memory never materialise it.
+        One bulk task read and one bulk run-count read per frontier page,
+        so completion checks cost what is still unstamped, not the project.
         """
-        for page in self._iter_task_id_pages(project_id):
+        for page in self._iter_open_pages(project_id):
             counts = self.store.run_counts_for_tasks(page)
             for task, count in zip(self.store.get_tasks(page), counts):
                 if task is not None:
@@ -497,7 +491,7 @@ class PlatformServer:
         return sum(
             max(0, task.n_assignments - count)
             for pid in project_ids
-            for task, count in self._iter_task_run_counts(pid)
+            for task, count in self._iter_open_task_run_counts(pid)
         )
 
     def is_task_complete(self, task_id: int) -> bool:
@@ -506,11 +500,12 @@ class PlatformServer:
         return self.store.run_count(task_id) >= task.n_assignments
 
     def is_project_complete(self, project_id: int) -> bool:
-        """Return True when every task of the project is complete."""
+        """Return True when every task of the project is complete (an
+        unstamped task that has all its answers counts as complete)."""
         self.get_project(project_id)
         return all(
             count >= task.n_assignments
-            for task, count in self._iter_task_run_counts(project_id)
+            for task, count in self._iter_open_task_run_counts(project_id)
         )
 
     # -- work simulation -----------------------------------------------------------------
@@ -539,7 +534,7 @@ class PlatformServer:
             self.get_project(project_id)
             project_ids = [project_id]
         for pid in project_ids:
-            for page in self._iter_task_id_pages(pid):
+            for page in self._iter_open_pages(pid):
                 budget = None if max_assignments is None else max_assignments - created
                 created += self._fill_page(page, budget)
                 if max_assignments is not None and created >= max_assignments:
@@ -547,10 +542,12 @@ class PlatformServer:
         return created
 
     def _fill_page(self, task_ids: Sequence[int], budget: int | None) -> int:
-        """One wave: fill the missing assignments of a page of tasks.
+        """One wave: fill the missing assignments of a frontier page.
 
         A stamped task (``completed_at`` set) is complete by construction,
-        so only unstamped tasks have their runs read.  Every missing answer
+        so only the store's open-task frontier is walked, in task-id order
+        (a shared store's frontier may be stale: a task another server
+        stamped or deleted meanwhile is skipped).  Every missing answer
         of the page is drawn in memory — task by task, assignment by
         assignment, the order the RNG and the clock have always seen — and
         then lands in three store writes: one run-id reservation (the final

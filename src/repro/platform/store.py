@@ -74,6 +74,14 @@ def _cursor_error(start_after: int, project_id: int) -> PlatformError:
     )
 
 
+def _find_task_id(task_ids: Sequence[int], task_id: int) -> int | None:
+    """Position of *task_id* in the sorted *task_ids*, or None when absent."""
+    position = bisect.bisect_left(task_ids, task_id)
+    if position < len(task_ids) and task_ids[position] == task_id:
+        return position
+    return None
+
+
 def _page_task_ids(
     task_ids: Sequence[int],
     limit: int,
@@ -92,8 +100,8 @@ def _page_task_ids(
     if start_after is None:
         position = 0
     else:
-        position = bisect.bisect_left(task_ids, start_after)
-        if position == len(task_ids) or task_ids[position] != start_after:
+        position = _find_task_id(task_ids, start_after)
+        if position is None:
             raise _cursor_error(start_after, project_id)
         position += 1
     position += offset
@@ -167,17 +175,24 @@ class TaskStore(abc.ABC):
 
     @abc.abstractmethod
     def add_tasks(self, tasks: Sequence[Task], dedup_keys: Sequence[str | None]) -> None:
-        """Store new *tasks* (one batch) and register their dedup keys.
+        """Publish staged *tasks* (one batch): they join their project's
+        publication order and its open-task frontier.
 
-        ``dedup_keys`` is positionally aligned with ``tasks``; a None entry
-        registers nothing for that task.  A dedup key that already maps to a
-        (possibly deleted) task is overwritten — liveness is re-checked at
-        resolve time, so a stale mapping can never resurrect a deleted task.
+        The records are already on the store (:meth:`stage_tasks`) and are
+        not written again.  ``dedup_keys`` is positionally aligned with
+        ``tasks``; a None entry registers nothing for that task — the case
+        of an un-keyed task and of a key this caller's
+        :meth:`claim_dedup_keys` already owns.  A key that is given
+        overwrites whatever it maps to: that is how a claim that lost to a
+        deleted task's stale mapping takes the mapping over (liveness is
+        re-checked at resolve time, so a stale mapping can never resurrect
+        a deleted task).
         """
 
     @abc.abstractmethod
     def stage_tasks(self, tasks: Sequence[Task]) -> None:
-        """Make candidate task records readable *before* their dedup claim.
+        """Write candidate task records — the one write a task record gets
+        at publication — *before* their dedup claim.
 
         The multi-writer publish protocol mirrors :meth:`put_project`'s
         record-first ordering: a server stages its candidate tasks (record
@@ -187,11 +202,10 @@ class TaskStore(abc.ABC):
         winner's record via :meth:`get_tasks` — without this step, a loser
         racing the winner's ``add_tasks`` would mistake the not-yet-written
         winner for a stale mapping and double-publish.  A staged task that
-        wins is published normally by :meth:`add_tasks` (idempotent
-        overwrite); one that loses is dropped via :meth:`discard_staged`.
-        A crash between stage and claim leaks an unreachable record — the
-        same storage-only leak :meth:`add_tasks` documents for keyless
-        specs.
+        wins (or has no key) is published by :meth:`add_tasks`; one that
+        loses is dropped via :meth:`discard_staged`.  A crash between
+        stage and publication leaks an unreachable record, invisible to
+        every page and count.
         """
 
     @abc.abstractmethod
@@ -209,7 +223,8 @@ class TaskStore(abc.ABC):
     @abc.abstractmethod
     def update_tasks(self, tasks: Sequence[Task]) -> None:
         """Persist mutated fields of existing *tasks* (redundancy,
-        completion) as one durable write."""
+        completion) as one durable write; a task that gained its completion
+        stamp leaves the open-task frontier, one that lost it re-enters."""
 
     @abc.abstractmethod
     def remove_task(self, task: Task) -> None:
@@ -218,6 +233,17 @@ class TaskStore(abc.ABC):
     @abc.abstractmethod
     def project_task_ids(self, project_id: int) -> list[int]:
         """Return every task id of *project_id* in publication order."""
+
+    @abc.abstractmethod
+    def open_task_ids(self, project_id: int) -> list[int]:
+        """Return the project's *open-task frontier*: the ids of its tasks
+        with no completion stamp, ascending.
+
+        Maintained as tasks are added, stamped, un-stamped and removed, so
+        reading it costs O(frontier), not O(project) — it is what lets
+        ``simulate_work`` and the completion checks skip every task they
+        already know is answered.
+        """
 
     @abc.abstractmethod
     def task_id_page(
@@ -337,6 +363,8 @@ class MemoryTaskStore(TaskStore):
         self._projects_by_name: dict[str, int] = {}
         self._tasks: dict[int, Task] = {}
         self._tasks_by_project: dict[int, list[int]] = {}
+        #: Open-task frontier: per project, the ids of its unstamped tasks.
+        self._open_by_project: dict[int, set[int]] = {}
         self._tasks_by_dedup: dict[tuple[int, str], int] = {}
         self._task_runs: dict[int, list[TaskRun]] = {}
         self._next_project_id = 1
@@ -379,6 +407,7 @@ class MemoryTaskStore(TaskStore):
             self._projects[project.project_id] = project
             self._projects_by_name[project.name] = project.project_id
             self._tasks_by_project.setdefault(project.project_id, [])
+            self._open_by_project.setdefault(project.project_id, set())
             return project
 
     def get_project(self, project_id: int) -> Project | None:
@@ -394,6 +423,7 @@ class MemoryTaskStore(TaskStore):
         for task_id in self._tasks_by_project.pop(project.project_id, []):
             self._tasks.pop(task_id, None)
             self._task_runs.pop(task_id, None)
+        self._open_by_project.pop(project.project_id, None)
         self._tasks_by_dedup = {
             key: task_id
             for key, task_id in self._tasks_by_dedup.items()
@@ -406,9 +436,10 @@ class MemoryTaskStore(TaskStore):
 
     def add_tasks(self, tasks: Sequence[Task], dedup_keys: Sequence[str | None]) -> None:
         for task, dedup_key in zip(tasks, dedup_keys):
-            self._tasks[task.task_id] = task
             self._tasks_by_project[task.project_id].append(task.task_id)
             self._task_runs[task.task_id] = []
+            if task.completed_at is None:
+                self._open_by_project[task.project_id].add(task.task_id)
             if dedup_key is not None:
                 self._tasks_by_dedup[(task.project_id, dedup_key)] = task.task_id
 
@@ -431,14 +462,22 @@ class MemoryTaskStore(TaskStore):
     def update_tasks(self, tasks: Sequence[Task]) -> None:
         for task in tasks:
             self._tasks[task.task_id] = task
+            if task.completed_at is not None:
+                self._open_by_project[task.project_id].discard(task.task_id)
+            elif task.task_id in self._task_runs:  # published, not just staged
+                self._open_by_project[task.project_id].add(task.task_id)
 
     def remove_task(self, task: Task) -> None:
         self._tasks_by_project[task.project_id].remove(task.task_id)
+        self._open_by_project[task.project_id].discard(task.task_id)
         self._task_runs.pop(task.task_id, None)
         self._tasks.pop(task.task_id, None)
 
     def project_task_ids(self, project_id: int) -> list[int]:
         return list(self._tasks_by_project[project_id])
+
+    def open_task_ids(self, project_id: int) -> list[int]:
+        return sorted(self._open_by_project[project_id])
 
     def task_id_page(
         self, project_id: int, limit: int, start_after: int | None, offset: int = 0
@@ -560,6 +599,12 @@ class DurableTaskStore(TaskStore):
         #: O(page), not one index scan per page.  Like the counters, the
         #: cache assumes this store object is the engine's only writer.
         self._project_ids: dict[int, list[int]] = {}
+        #: Cached open-task frontier per project (ids of unstamped tasks):
+        #: rebuilt by one pass over the project's task records on first use
+        #: after (re)open, maintained incrementally afterwards, dropped
+        #: wherever ``_project_ids`` is, and — single-writer like it —
+        #: never kept in shared mode.
+        self._open_ids: dict[int, set[int]] = {}
 
     # -- keys and tables ---------------------------------------------------
 
@@ -680,6 +725,7 @@ class DurableTaskStore(TaskStore):
             self._engine.put(self._names_table, project.name, project.project_id)
         if not self._shared:
             self._project_ids[project.project_id] = []
+            self._open_ids[project.project_id] = set()
         self._record_latest(project.created_at)
         return project
 
@@ -716,6 +762,7 @@ class DurableTaskStore(TaskStore):
             self._engine.delete_many(self._runs_table, keys)
             self._engine.delete_many(self._tasks_table, keys)
         self._project_ids.pop(project.project_id, None)
+        self._open_ids.pop(project.project_id, None)
         self._engine.drop_table(index_table)
         self._engine.drop_table(self._dedup_table(project.project_id))
         self._engine.delete(self._names_table, project.name)
@@ -726,46 +773,53 @@ class DurableTaskStore(TaskStore):
     def add_tasks(self, tasks: Sequence[Task], dedup_keys: Sequence[str | None]) -> None:
         if not tasks:
             return
-        # One batch per table, in crash-safe order (a crash can only fall
-        # *between* engine batches): dedup mappings first — a mapping to a
-        # task that was never written fails the liveness check and the
-        # replay simply re-creates under fresh ids.  Task records second —
-        # with the mapping present, a replay now resolves to live tasks and
-        # returns them instead of duplicating crowd work.  Index entries
-        # last — a replay that resolves a hit heals any entries the crash
-        # swallowed via :meth:`ensure_indexed`.  No ordering leaves a
+        # A publish is four engine batches, each record written once, in
+        # crash-safe order (a crash can only fall *between* batches).
+        # Records first (stage_tasks) — alone they are unreachable, a
+        # storage leak only, invisible to every page and to :meth:`counts`,
+        # which reads the index; the replay re-creates under fresh ids.
+        # Dedup mappings second (claim_dedup_keys; here only the overwrite
+        # of a mapping whose claim lost to a deleted task) — a mapping
+        # always names a written record, so a replay resolves to live tasks
+        # and returns them instead of duplicating crowd work.  Index
+        # entries last — a replay that resolves a hit heals any entries the
+        # crash swallowed via :meth:`ensure_indexed`.  No ordering leaves a
         # window where a replay double-publishes.  (A spec *without* a
         # dedup key cannot be recognised by any replay; a crash before its
-        # index entry leaves an unreachable task record — a storage leak
-        # only, invisible to every page and to :meth:`counts`, which reads
-        # the index.)
-        index_items: dict[int, list[tuple[str, Any]]] = {}
+        # index entry leaves its record in that same unreachable state.)
+        by_project: dict[int, list[Task]] = {}
         dedup_items: dict[int, list[tuple[str, Any]]] = {}
         for task, dedup_key in zip(tasks, dedup_keys):
-            index_items.setdefault(task.project_id, []).append(
-                (self._id_key(task.task_id), task.task_id)
-            )
+            by_project.setdefault(task.project_id, []).append(task)
             if dedup_key is not None:
                 dedup_items.setdefault(task.project_id, []).append(
                     (dedup_key, task.task_id)
                 )
         for project_id, items in dedup_items.items():
             self._engine.put_many(self._dedup_table(project_id), items)
-        self._put_task_records(tasks)
-        for project_id, items in index_items.items():
-            self._engine.put_many(self._index_table(project_id), items)
+        for project_id, group in by_project.items():
+            self._engine.put_many(
+                self._index_table(project_id),
+                [(self._id_key(task.task_id), task.task_id) for task in group],
+            )
             cached = self._project_ids.get(project_id)
             if cached is not None:
                 # Fresh ids come from the monotonic counter, so they all
                 # sort after anything already cached.
-                cached.extend(task_id for _, task_id in items)
+                cached.extend(task.task_id for task in group)
+            open_ids = self._open_ids.get(project_id)
+            if open_ids is not None:
+                open_ids.update(
+                    task.task_id for task in group if task.completed_at is None
+                )
         self._record_latest(max(task.created_at for task in tasks))
 
     def stage_tasks(self, tasks: Sequence[Task]) -> None:
         if not tasks:
             return
-        # Record only (see the base-class contract): one durable batch that
-        # makes this writer's candidates resolvable by a racing claimer.
+        # Record only (see the base-class contract): the one durable write
+        # of these records, which also makes this writer's candidates
+        # resolvable by a racing claimer.
         self._put_task_records(tasks)
 
     def discard_staged(self, tasks: Sequence[Task]) -> None:
@@ -793,6 +847,7 @@ class DurableTaskStore(TaskStore):
                 # cached list is reloaded rather than patched in place.
                 self._engine.put_many(table, missing)
                 self._project_ids.pop(project_id, None)
+                self._open_ids.pop(project_id, None)
 
     def get_task(self, task_id: int) -> Task | None:
         payload = self._engine.get(self._tasks_table, self._id_key(task_id))
@@ -815,8 +870,21 @@ class DurableTaskStore(TaskStore):
         )
 
     def update_tasks(self, tasks: Sequence[Task]) -> None:
-        if tasks:
-            self._put_task_records(tasks)
+        if not tasks:
+            return
+        self._put_task_records(tasks)
+        for task in tasks:
+            open_ids = self._open_ids.get(task.project_id)
+            if open_ids is None:
+                continue
+            if task.completed_at is not None:
+                open_ids.discard(task.task_id)
+                continue
+            # Only an indexed task re-enters: the orphan record of a torn
+            # delete stays as invisible as a reopen would find it.
+            indexed = self._sorted_task_ids(task.project_id)
+            if _find_task_id(indexed, task.task_id) is not None:
+                open_ids.add(task.task_id)
 
     def remove_task(self, task: Task) -> None:
         key = self._id_key(task.task_id)
@@ -830,9 +898,12 @@ class DurableTaskStore(TaskStore):
         self._engine.delete(self._tasks_table, key)
         cached = self._project_ids.get(task.project_id)
         if cached is not None:
-            position = bisect.bisect_left(cached, task.task_id)
-            if position < len(cached) and cached[position] == task.task_id:
+            position = _find_task_id(cached, task.task_id)
+            if position is not None:
                 del cached[position]
+        open_ids = self._open_ids.get(task.project_id)
+        if open_ids is not None:
+            open_ids.discard(task.task_id)
 
     def _sorted_task_ids(self, project_id: int) -> list[int]:
         """The project's task ids, ascending — cached after one index scan.
@@ -860,6 +931,24 @@ class DurableTaskStore(TaskStore):
 
     def project_task_ids(self, project_id: int) -> list[int]:
         return list(self._sorted_task_ids(project_id))
+
+    def open_task_ids(self, project_id: int) -> list[int]:
+        open_ids = self._open_ids.get(project_id)
+        if open_ids is None:
+            task_ids = self._sorted_task_ids(project_id)
+            payloads = self._engine.get_many(
+                self._tasks_table, [self._id_key(task_id) for task_id in task_ids]
+            )
+            open_ids = {
+                task_id
+                for task_id, payload in zip(task_ids, payloads)
+                if payload is not None and payload.get("completed_at") is None
+            }
+            if not self._shared:
+                # Another server may stamp or un-stamp this project's tasks;
+                # shared mode reads the records every time.
+                self._open_ids[project_id] = open_ids
+        return sorted(open_ids)
 
     def task_id_page(
         self, project_id: int, limit: int, start_after: int | None, offset: int = 0

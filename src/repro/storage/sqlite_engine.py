@@ -327,20 +327,22 @@ class SqliteEngine(StorageEngine):
     #: Keys per IN-clause chunk; well below SQLite's bound-parameter limit.
     _CHUNK = 400
 
-    def _fetch_records(self, table_name: str, keys: Sequence[str]) -> dict[str, tuple[str, int]]:
-        """Return raw (encoded value, version) per existing key, chunked."""
-        found: dict[str, tuple[str, int]] = {}
+    def _fetch_rows(
+        self, table_name: str, keys: Iterable[str], columns: str
+    ) -> dict[str, tuple]:
+        """Return the raw *columns* (after ``key``) per existing key, chunked."""
+        found: dict[str, tuple] = {}
         distinct = list(dict.fromkeys(keys))
         for start in range(0, len(distinct), self._CHUNK):
             chunk = distinct[start : start + self._CHUNK]
             placeholders = ",".join("?" * len(chunk))
             cursor = self._conn.execute(
-                "SELECT key, value, version FROM reprowd_records "
+                f"SELECT key, {columns} FROM reprowd_records "
                 f"WHERE table_name = ? AND key IN ({placeholders})",
                 (table_name, *chunk),
             )
-            for key, value, version in cursor.fetchall():
-                found[key] = (value, version)
+            for row in cursor.fetchall():
+                found[row[0]] = row[1:]
         return found
 
     def put_many(
@@ -361,42 +363,37 @@ class SqliteEngine(StorageEngine):
                 return self._put_many_if_absent(
                     table_name, items, defer_commit=defer_commit
                 )
-            raw = self._fetch_records(table_name, [key for key, _ in items])
+            # Only the versions of existing rows are read: a put replaces
+            # the value, so the stored one is never fetched or decoded.
+            versions = {
+                key: version
+                for key, (version,) in self._fetch_rows(
+                    table_name, (key for key, _ in items), "version"
+                ).items()
+            }
             # Batch-encode every value up front (all-or-nothing validation),
             # then replay put semantics in memory and write only each key's
             # final state; intermediate versions of a key repeated in the
             # batch exist only in the returned records, exactly as if the
             # puts had run one at a time.
             encoded_values = self.codec.encode_many([value for _, value in items])
-            stored: dict[str, Record] = {}
             pending: dict[str, tuple[Any, int]] = {}
             records: list[Record] = []
             for (key, value), encoded in zip(items, encoded_values):
-                prior = stored.get(key)
-                if prior is None and key in raw:
-                    existing_value, existing_version = raw[key]
-                    prior = Record(
-                        key=key,
-                        value=self.codec.decode(existing_value),
-                        version=existing_version,
-                    )
-                    stored[key] = prior
-                record = prior.bump(value) if prior else Record(key=key, value=value)
-                stored[key] = record
-                pending[key] = (encoded, record.version)
-                records.append(record)
-            if pending:
-                self._conn.executemany(
-                    "INSERT INTO reprowd_records (table_name, key, value, version) "
-                    "VALUES (?, ?, ?, ?) "
-                    "ON CONFLICT (table_name, key) "
-                    "DO UPDATE SET value = excluded.value, version = excluded.version",
-                    [
-                        (table_name, key, encoded, version)
-                        for key, (encoded, version) in pending.items()
-                    ],
-                )
-                self._commit(defer=defer_commit)
+                version = versions[key] = versions.get(key, 0) + 1
+                pending[key] = (encoded, version)
+                records.append(Record(key=key, value=value, version=version))
+            self._conn.executemany(
+                "INSERT INTO reprowd_records (table_name, key, value, version) "
+                "VALUES (?, ?, ?, ?) "
+                "ON CONFLICT (table_name, key) "
+                "DO UPDATE SET value = excluded.value, version = excluded.version",
+                [
+                    (table_name, key, encoded, version)
+                    for key, (encoded, version) in pending.items()
+                ],
+            )
+            self._commit(defer=defer_commit)
             return records
 
     def _put_many_if_absent(
@@ -415,23 +412,26 @@ class SqliteEngine(StorageEngine):
         """
         # Validate the whole batch up front, matching the update path.
         encoded_values = self.codec.encode_many([value for _, value in items])
-        first: dict[str, Any] = {}
-        for (key, _), encoded in zip(items, encoded_values):
-            first.setdefault(key, encoded)
+        first: dict[str, tuple[Any, Any]] = {}
+        for (key, value), encoded in zip(items, encoded_values):
+            first.setdefault(key, (encoded, value))
         self._conn.executemany(
             "INSERT OR IGNORE INTO reprowd_records (table_name, key, value, version) "
             "VALUES (?, ?, ?, 1)",
-            [(table_name, key, encoded) for key, encoded in first.items()],
+            [(table_name, key, encoded) for key, (encoded, _) in first.items()],
         )
         self._commit(defer=defer_commit)
-        raw = self._fetch_records(table_name, [key for key, _ in items])
-        records: list[Record] = []
-        for key, _ in items:
-            value, version = raw[key]
-            records.append(
-                Record(key=key, value=self.codec.decode(value), version=version)
-            )
-        return records
+        raw = self._fetch_rows(table_name, first, "value, version")
+        # Where the surviving bytes are the ones this call encoded, the
+        # caller's value is what a decode would give back; only a key that
+        # lost to different bytes pays for one.
+        survivors: dict[str, Record] = {}
+        for key, (encoded, value) in first.items():
+            stored, version = raw[key]
+            if stored != encoded:
+                value = self.codec.decode(stored)
+            survivors[key] = Record(key=key, value=value, version=version)
+        return [survivors[key] for key, _ in items]
 
     def delete_many(
         self,
@@ -470,7 +470,7 @@ class SqliteEngine(StorageEngine):
     ) -> list[Any]:
         with self._lock:
             self._require_table(table_name)
-            raw = self._fetch_records(table_name, keys)
+            raw = self._fetch_rows(table_name, keys, "value")
         values: list[Any] = []
         for key in keys:
             hit = raw.get(key)

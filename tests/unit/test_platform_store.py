@@ -118,10 +118,12 @@ class TestDurableStoreContract:
 
 
 class TestTornPublishHealing:
-    """A crash inside a durable add_tasks batch converges on replay.
+    """A crash inside a durable publish converges on replay.
 
-    The durable store writes dedup mappings, then task records, then index
-    entries — one engine batch each.  Every window a crash can fall into is
+    The durable store writes task records (``stage_tasks``), then dedup
+    mappings (``claim_dedup_keys``), then index entries (``add_tasks``) —
+    one engine batch each; a mapping to a record that is gone is what a
+    deleted task leaves behind.  Every window a crash can fall into is
     simulated by hand-writing the corresponding prefix, and the replay of
     the same ``create_tasks`` batch must converge without double-publishing
     or leaving invisible tasks.
@@ -131,7 +133,7 @@ class TestTornPublishHealing:
         store = DurableTaskStore(sqlite_engine)
         server = build_server(store)
         project = server.create_project("exp")
-        # Crash window 1: the dedup batch landed, nothing else did.
+        # A mapping whose task record does not exist (a deleted task's).
         sqlite_engine.put_many(
             store._dedup_table(project.project_id), [("k0", 424242)]
         )

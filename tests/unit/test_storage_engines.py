@@ -172,6 +172,33 @@ class TestBulkOperations:
         assert any_engine.get("t", "b") == 1
         assert any_engine.get_record("t", "b").version == 1
 
+    def test_put_many_if_absent_returns_the_surviving_record(self, any_engine):
+        """Pre-existing keys (equal and different stored bytes, bumped
+        version) and keys repeated in the batch: every engine hands back
+        what a read would."""
+        any_engine.create_table("t")
+        any_engine.put("t", "same", {"n": [1, 2]})
+        any_engine.put("t", "same", {"n": [1, 2]})
+        any_engine.put("t", "other", {"n": 0})
+        batch = [
+            ("same", {"n": [1, 2]}),
+            ("other", {"n": 1}),
+            ("new", {"n": 2}),
+            ("other", {"n": 3}),
+            ("new", {"n": 4}),
+        ]
+        records = any_engine.put_many("t", batch, if_absent=True)
+        assert [(r.key, r.value, r.version) for r in records] == [
+            ("same", {"n": [1, 2]}, 2),
+            ("other", {"n": 0}, 1),
+            ("new", {"n": 2}, 1),
+            ("other", {"n": 0}, 1),
+            ("new", {"n": 2}, 1),
+        ]
+        assert [r.value for r in records] == any_engine.get_many(
+            "t", [key for key, _ in batch]
+        )
+
     def test_put_many_empty_batch(self, any_engine):
         any_engine.create_table("t")
         assert any_engine.put_many("t", []) == []

@@ -20,9 +20,15 @@ smoke`` is given.  E0's traced run says which *layer* the time is in; this
 says which *function*.  Set-up is outside the profile, like it is outside
 ``run_s``.
 
+Either way ``--sort tottime`` ranks by a function's own time instead of
+cumulative time, and ``--callers <pattern>`` adds who calls the functions
+matching the regular expression (``pstats.print_callers``) — together the
+two views that size an optimisation: where the time *is*, and who spends it.
+
 Usage:
     PYTHONPATH=src python tools/profile_bench.py [--scale smoke|full]
         [--top 25] [--only E10,E13]
+        [--sort cumulative|tottime] [--callers 'store.py.*get_tasks']
     python tools/profile_bench.py --e0 stream_sqlite [--scale smoke] [--seed 11]
 """
 
@@ -49,7 +55,16 @@ BENCHMARKS = {
 }
 
 
-def profile_one(tag: str, filename: str, scale: str, top: int) -> int:
+def report(pstats_path: str, top: int, sort: str, callers: str | None) -> None:
+    """Print the *top* functions of a saved profile by *sort*, then the
+    callers of the functions matching *callers* (when given)."""
+    stats = pstats.Stats(pstats_path).sort_stats(sort)
+    stats.print_stats(top)
+    if callers:
+        stats.print_callers(callers)
+
+
+def profile_one(tag: str, filename: str, scale: str, report_args: tuple) -> int:
     """Profile one benchmark module; return the subprocess's exit code."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     pstats_path = os.path.join(RESULTS_DIR, f"{tag}_profile.pstats")
@@ -78,13 +93,12 @@ def profile_one(tag: str, filename: str, scale: str, top: int) -> int:
     if result.returncode != 0:
         print(f"{tag}: benchmark failed (exit {result.returncode})")
         return result.returncode
-    stats = pstats.Stats(pstats_path)
-    stats.sort_stats("cumulative").print_stats(top)
+    report(pstats_path, *report_args)
     print(f"{tag}: raw profile saved to {os.path.relpath(pstats_path, REPO_ROOT)}")
     return 0
 
 
-def profile_e0(name: str, scale: str, top: int, seed: int) -> int:
+def profile_e0(name: str, scale: str, seed: int, report_args: tuple) -> int:
     """Profile one cold repetition of E0 program *name*; return an exit code."""
     sys.path.insert(0, E0_DIR)
     import run as e0  # puts src/ on sys.path; exits if src/repro is missing
@@ -115,7 +129,7 @@ def profile_e0(name: str, scale: str, top: int, seed: int) -> int:
             workload.teardown(inputs)
             shutil.rmtree(run_dir, ignore_errors=True)
     profiler.dump_stats(pstats_path)
-    pstats.Stats(pstats_path).sort_stats("cumulative").print_stats(top)
+    report(pstats_path, *report_args)
     print(f"E0 {name}: raw profile saved to {os.path.relpath(pstats_path, REPO_ROOT)}")
     return 0
 
@@ -141,7 +155,19 @@ def main(argv: list[str] | None = None) -> int:
         "--top",
         type=int,
         default=25,
-        help="how many functions to print, by cumulative time (default 25)",
+        help="how many functions to print (default 25)",
+    )
+    parser.add_argument(
+        "--sort",
+        choices=("cumulative", "tottime"),
+        default="cumulative",
+        help="rank functions by cumulative or by own time (default cumulative)",
+    )
+    parser.add_argument(
+        "--callers",
+        metavar="PATTERN",
+        help="also print the callers of functions matching this regular "
+        "expression (pstats print_callers)",
     )
     parser.add_argument(
         "--only",
@@ -150,8 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{', '.join(BENCHMARKS)})",
     )
     args = parser.parse_args(argv)
+    report_args = (args.top, args.sort, args.callers)
     if args.e0:
-        return profile_e0(args.e0, args.scale or "full", args.top, args.seed)
+        return profile_e0(args.e0, args.scale or "full", args.seed, report_args)
     scale = args.scale or "smoke"
 
     selected = [tag.strip() for tag in args.only.split(",") if tag.strip()] or list(
@@ -163,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
 
     status = 0
     for tag in selected:
-        status = profile_one(tag, BENCHMARKS[tag], scale, args.top) or status
+        status = profile_one(tag, BENCHMARKS[tag], scale, report_args) or status
     return status
 
 
