@@ -63,10 +63,12 @@ bench-e0-smoke:
 	python3 benchmarks/e0/run.py --seed 11 --scale smoke
 	python -m pytest benchmarks/e0 -q
 
-# Diff the working-tree BENCH_*.json trajectories against the committed
-# baselines at HEAD; fail on any >20% regression of a tracked metric.
+# Diff the working-tree BENCH_*.json trajectories against the ones committed
+# at BASE (a git ref; default HEAD~1, the parent of the commit under review);
+# fail on any >20% regression of a tracked metric.  A trajectory identical
+# to its base is reported as skipped, not as a pass.
 bench-trend:
-	python tools/bench_trend.py
+	python tools/bench_trend.py $(if $(BASE),--base $(BASE))
 
 # cProfile the hot-path benchmarks (smoke scale by default; SCALE=full for
 # paper scale); prints top-25 by cumulative time, saves .pstats under
@@ -87,6 +89,6 @@ examples-check:
 	PYTHONPATH=src python tools/examples_check.py
 
 # The pre-PR gate: quick tests, docs lint + quickstart, examples, bench
-# smoke, E0 smoke, and the benchmark trend gate against the committed
-# trajectories.
+# smoke, E0 smoke, and the benchmark trend gate (trajectories this change
+# refreshed vs HEAD~1; smoke runs write none, so it usually reports skipped).
 check: test-fast docs-check examples-check bench-smoke bench-e0-smoke bench-trend

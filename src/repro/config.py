@@ -10,8 +10,9 @@ platform behaviour.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 DEFAULT_DB_FILENAME = "reprowd.db"
 DEFAULT_REDUNDANCY = 3

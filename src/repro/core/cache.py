@@ -71,7 +71,7 @@ class FaultRecoveryCache:
         batch that crashed half-way — are left untouched, so a rerun can
         replay the whole batch without duplicating anything.
         """
-        self.engine.put_many(self._tasks_table, list(tasks.items()), if_absent=True)
+        self.engine.put_many(self._tasks_table, tasks.items(), if_absent=True)
 
     def update_tasks(self, tasks: Mapping[str, dict[str, Any]]) -> None:
         """Overwrite a batch of task descriptors in one write.
@@ -82,7 +82,7 @@ class FaultRecoveryCache:
         never for first publication (that is :meth:`put_tasks`,
         whose put_new semantics protect crashed batches).
         """
-        self.engine.put_many(self._tasks_table, list(tasks.items()), if_absent=False)
+        self.engine.put_many(self._tasks_table, tasks.items(), if_absent=False)
 
     def task_count(self) -> int:
         """Number of cached task descriptors.
@@ -129,7 +129,7 @@ class FaultRecoveryCache:
 
     def put_results(self, results: Mapping[str, Any]) -> None:
         """Persist a batch of complete results with put_new-per-key semantics."""
-        self.engine.put_many(self._results_table, list(results.items()), if_absent=True)
+        self.engine.put_many(self._results_table, results.items(), if_absent=True)
 
     def result_count(self) -> int:
         """Number of cached (complete) results."""

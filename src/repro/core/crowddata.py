@@ -556,8 +556,10 @@ class CrowdData:
                     to_cache[descriptor["object_key"]] = result
 
         def flush() -> None:
+            # The engine materialises the page on entry, so it is handed
+            # down as is and reused once the write returns.
             if to_cache:
-                self.cache.put_results(dict(to_cache))
+                self.cache.put_results(to_cache)
                 to_cache.clear()
 
         for task_id, runs in self._stream_after_collected(

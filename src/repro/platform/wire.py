@@ -244,12 +244,14 @@ def decode_error(error: dict[str, Any]) -> ReprowdError:
 
 # -- framing -----------------------------------------------------------------
 
+_encode_frame = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def write_frame(
     sock: socket.socket, payload: dict[str, Any], max_frame_bytes: int
 ) -> None:
     """Send one frame; raises :class:`FrameTooLargeError` before sending."""
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    data = _encode_frame(payload).encode("utf-8")
     if len(data) > max_frame_bytes:
         raise FrameTooLargeError(len(data), max_frame_bytes)
     # One sendall for header+body: a killed peer then fails the whole

@@ -8,7 +8,8 @@ candidate pairs.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from repro.exceptions import PresenterError
 from repro.presenters.base import BasePresenter, registry

@@ -31,6 +31,10 @@ from repro.exceptions import StorageError
 
 EncodedValue = Union[str, bytes]
 
+#: The one strict compact-JSON encoder: ``json.dumps`` with these arguments
+#: would build an identical ``JSONEncoder`` per record.
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class Record:
@@ -90,7 +94,7 @@ class JsonCodec(Codec):
 
     def encode(self, value: Any) -> str:
         try:
-            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+            return _encode_json(value)
         except (TypeError, ValueError) as exc:
             raise StorageError(f"value is not JSON-encodable: {exc}") from exc
 

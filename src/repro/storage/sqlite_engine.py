@@ -402,25 +402,31 @@ class SqliteEngine(StorageEngine):
         items: list[tuple[str, Any]],
         defer_commit: bool = False,
     ) -> list[Record]:
-        """``INSERT OR IGNORE`` then read back: cross-process first-writer-wins.
+        """``INSERT OR IGNORE``, read back only on a lost key: cross-process
+        first-writer-wins.
 
         A read-then-upsert implementation would let two processes both
         believe they inserted a key; pushing the conflict resolution into
         SQLite's unique constraint guarantees exactly one writer's value
-        survives, and the fetch-back returns that authoritative record to
-        winners and losers alike (the dedup-claim protocol depends on it).
+        survives.  The statement's change count says whether every key was
+        inserted by *this* call — the survivors are then the caller's own
+        values at version 1; otherwise the fetch-back returns the
+        authoritative record to winners and losers alike (the dedup-claim
+        protocol depends on it).
         """
         # Validate the whole batch up front, matching the update path.
         encoded_values = self.codec.encode_many([value for _, value in items])
         first: dict[str, tuple[Any, Any]] = {}
         for (key, value), encoded in zip(items, encoded_values):
             first.setdefault(key, (encoded, value))
-        self._conn.executemany(
+        inserted = self._conn.executemany(
             "INSERT OR IGNORE INTO reprowd_records (table_name, key, value, version) "
             "VALUES (?, ?, ?, 1)",
             [(table_name, key, encoded) for key, (encoded, _) in first.items()],
-        )
+        ).rowcount
         self._commit(defer=defer_commit)
+        if inserted == len(first):
+            return [Record(key=key, value=first[key][1]) for key, _ in items]
         raw = self._fetch_rows(table_name, first, "value, version")
         # Where the surviving bytes are the ones this call encoded, the
         # caller's value is what a decode would give back; only a key that

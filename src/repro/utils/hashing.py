@@ -13,6 +13,10 @@ import hashlib
 import json
 from typing import Any
 
+_encode_stable = json.JSONEncoder(
+    sort_keys=True, default=repr, separators=(",", ":")
+).encode
+
 
 def stable_json(value: Any) -> str:
     """Return a canonical JSON encoding of *value*.
@@ -21,7 +25,7 @@ def stable_json(value: Any) -> str:
     to ``repr`` so that any picklable Python object gets a deterministic
     encoding.
     """
-    return json.dumps(value, sort_keys=True, default=repr, separators=(",", ":"))
+    return _encode_stable(value)
 
 
 def stable_hash(value: Any, length: int = 16) -> str:

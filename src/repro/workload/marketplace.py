@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.presenters.base import BasePresenter, registry

@@ -35,8 +35,9 @@ import os
 import random
 import time
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.config import PlatformConfig, ReprowdConfig, StorageConfig, WorkerPoolConfig
 from repro.core.budget import BudgetTracker
@@ -62,9 +63,12 @@ STORAGE_KINDS = ("memory", "sqlite", "sharded", "ring")
 TRANSPORT_KINDS = ("direct", "pipelined", "wire")
 
 
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(payload: Any) -> str:
     """Stable byte-for-byte JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _encode_canonical(payload)
 
 
 def _derive_seed(seed: int, stream: str) -> int:

@@ -33,6 +33,8 @@ json_values = st.recursive(
 
 keys = st.text(alphabet="abcdefghij", min_size=1, max_size=3)
 
+few_keys = st.text(alphabet="ab", min_size=1, max_size=2)
+
 batches = st.lists(st.tuples(keys, json_values), max_size=8)
 
 operations = st.lists(
@@ -136,6 +138,35 @@ class TestBulkEquivalenceClass:
                 position = present_keys.index(cursor)
                 assert suffix == reference_state["items"][position + 1 :], name
 
+        close_engines(engines)
+
+    @given(
+        stored=st.lists(st.tuples(few_keys, json_values), max_size=5),
+        batch=st.lists(st.tuples(few_keys, json_values), min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_if_absent_batch_mixing_present_absent_and_repeated_keys(
+        self, stored, batch, tmp_path_factory
+    ):
+        # Six possible keys: a batch of up to eight repeats some, and the
+        # pre-stored ones (upserted, so versions above 1 exist) are present.
+        engines = build_engines(tmp_path_factory)
+        outcomes = {}
+        for name, engine in engines.items():
+            engine.create_table("t")
+            engine.put_many("t", stored)
+            records = engine.put_many("t", batch, if_absent=True)
+            outcomes[name] = (
+                [(r.key, r.value, r.version) for r in records],
+                observable_state(engine),
+            )
+        returned, state = outcomes["memory"]
+        assert [key for key, _, _ in returned] == [key for key, _ in batch]
+        first_seen = {}
+        for key, value, version in returned:
+            assert first_seen.setdefault(key, (value, version)) == (value, version)
+        for name in engines:
+            assert outcomes[name] == (returned, state), name
         close_engines(engines)
 
     @given(ops=operations)

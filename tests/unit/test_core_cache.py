@@ -61,6 +61,19 @@ class TestCacheKeys:
         assert left == right
 
 
+    def test_keys_of_files_written_by_earlier_versions_still_hit(self):
+        # Literal digests: Bob's database outlives the code that wrote it,
+        # so the canonical encoding under the hash may never move.
+        key = FaultRecoveryCache.object_key
+        assert key({"url": "http://example.com/img-0001.jpg"}, "image_label") == (
+            "d7d14625a434c6e6"
+        )
+        assert key(("Café Müller", {"id": 7, "tags": ["a", "b"]}), "record_cmp") == (
+            "326279850caea653"
+        )
+        assert key({3: "int key", 10: 1.5, -1: None}, "text_cmp") == "a9c90c9e87fc5c79"
+
+
 class TestCacheRoundtrips:
     def test_task_roundtrip(self, memory_engine):
         cache = FaultRecoveryCache(memory_engine, "imgs")

@@ -24,6 +24,7 @@ import pytest
 
 from repro import CrowdContext
 from repro.config import PlatformConfig
+from repro.exceptions import StorageError
 from repro.platform.client import PlatformClient
 from repro.platform.models import Task
 from repro.platform.server import PlatformServer
@@ -383,3 +384,109 @@ class TestEngineBatchesDecodeOnlyWhatTheyReturn:
         )
         assert [r.value for r in records] == [{"i": 0}, {"i": 1}, [1], [1], {"i": 1}]
         assert len(decodes) == 1  # k1, once for both of its occurrences
+
+
+    # -- put_many(if_absent=True) trusts SQLite's change count: when every
+    # distinct key of the batch was inserted by the statement itself nothing
+    # is read back.  Statements are counted with ``set_trace_callback``.
+
+    ROWS = 1000
+
+    @pytest.fixture
+    def statements(self, sqlite_engine):
+        sqlite_engine.create_table("c")
+        seen = []
+        sqlite_engine._conn.set_trace_callback(seen.append)
+        yield seen
+        sqlite_engine._conn.set_trace_callback(None)
+
+    @staticmethod
+    def record_selects(statements):
+        return [
+            sql
+            for sql in statements
+            if sql.lstrip().upper().startswith("SELECT") and "FROM reprowd_records" in sql
+        ]
+
+    def batch(self):
+        return [(f"k{i:04d}", {"i": i, "runs": [i, i + 1]}) for i in range(self.ROWS)]
+
+    def test_cold_if_absent_batch_issues_no_select_on_the_records_table(
+        self, sqlite_engine, statements
+    ):
+        items = self.batch()
+        records = sqlite_engine.put_many("c", items, if_absent=True)
+        assert self.record_selects(statements) == []
+        assert [(r.key, r.value, r.version) for r in records] == [
+            (key, value, 1) for key, value in items
+        ]
+        assert sqlite_engine.count("c") == self.ROWS
+        assert sqlite_engine.get_record("c", "k0007") == records[7]
+
+    def test_replayed_batch_reads_back_in_chunks_and_returns_what_is_stored(
+        self, sqlite_engine, statements
+    ):
+        items = self.batch()
+        sqlite_engine.put_many("c", items, if_absent=True)
+        del statements[:]
+        replay = [(key, {"other": key}) for key, _ in items]
+        records = sqlite_engine.put_many("c", replay, if_absent=True)
+        assert len(self.record_selects(statements)) == -(-self.ROWS // SqliteEngine._CHUNK)
+        assert [(r.key, r.value, r.version) for r in records] == [
+            (key, value, 1) for key, value in items
+        ]
+
+    def test_present_absent_and_repeated_keys_match_the_memory_engine(
+        self, sqlite_engine, statements
+    ):
+        memory = MemoryEngine()
+        memory.create_table("c")
+        batch = [("new", [1]), ("old", {"mine": 1}), ("new", [2]), ("other", None)]
+        outcomes = []
+        for engine in (sqlite_engine, memory):
+            engine.put_many("c", [("old", {"theirs": 0})])
+            engine.put_many("c", [("old", {"theirs": 1})])  # version 2 survives
+            outcomes.append(engine.put_many("c", batch, if_absent=True))
+            assert [r.key for r in engine.scan("c")] == ["old", "new", "other"]
+        assert outcomes[0] == outcomes[1]
+        assert [(r.value, r.version) for r in outcomes[0]] == [
+            ([1], 1), ({"theirs": 1}, 2), ([1], 1), (None, 1)
+        ]
+        assert self.record_selects(statements)  # a key was lost: read back
+
+    def test_a_key_repeated_in_the_batch_alone_is_not_a_lost_key(
+        self, sqlite_engine, statements
+    ):
+        records = sqlite_engine.put_many(
+            "c", [("a", 1), ("b", 2), ("a", 3)], if_absent=True
+        )
+        assert [(r.key, r.value, r.version) for r in records] == [
+            ("a", 1, 1), ("b", 2, 1), ("a", 1, 1)
+        ]
+        assert self.record_selects(statements) == []
+        assert sqlite_engine.get("c", "a") == 1
+
+    def test_deferred_commit_takes_the_same_path_and_commit_group_lands_it(
+        self, sqlite_engine, statements
+    ):
+        other = SqliteEngine(sqlite_engine.path)  # opened before the write lock
+        try:
+            items = self.batch()
+            records = sqlite_engine.put_many(
+                "c", items, if_absent=True, defer_commit=True
+            )
+            assert self.record_selects(statements) == []
+            assert [r.value for r in records] == [value for _, value in items]
+            assert "COMMIT" not in statements
+            assert other.count("c") == 0  # not yet visible to another handle
+            sqlite_engine.commit_group()
+            assert "COMMIT" in statements
+            assert other.count("c") == self.ROWS
+            assert other.get_record("c", "k0999") == records[999]
+        finally:
+            other.close()
+
+    def test_an_unencodable_value_still_writes_nothing(self, sqlite_engine, statements):
+        with pytest.raises(StorageError):
+            sqlite_engine.put_many("c", [("a", 1), ("b", object())], if_absent=True)
+        assert sqlite_engine.count("c") == 0

@@ -70,6 +70,26 @@ class TestCodecUnits:
         via_binary = BINARY_CODEC.decode(BINARY_CODEC.encode(value))
         assert via_binary == via_json
 
+    def test_stored_task_descriptor_bytes_are_pinned(self):
+        # What an earlier version wrote into ``<table>::tasks`` — a cold
+        # put_many compares stored bytes with freshly encoded ones.
+        descriptor = {
+            "task_id": 17,
+            "project_id": 3,
+            "object_key": "9f2c1d0a7b6e5f43",
+            "n_assignments": 3,
+            "published_at": 12.5,
+            "task_type": "image_label",
+            "priority": 0.0,
+        }
+        assert JSON_CODEC.encode(descriptor) == (
+            '{"n_assignments":3,"object_key":"9f2c1d0a7b6e5f43","priority":0.0,'
+            '"project_id":3,"published_at":12.5,"task_id":17,"task_type":"image_label"}'
+        )
+        assert JSON_CODEC.encode({"name": "Zoë", "2": [True, None]}) == (
+            '{"2":[true,null],"name":"Zo\\u00eb"}'
+        )
+
     def test_encode_many_matches_encode(self):
         values = [v for v in EDGE_VALUES]
         assert BINARY_CODEC.encode_many(values) == [

@@ -58,9 +58,10 @@ def run_threads(workers) -> None:
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
     if errors:
         raise errors[0]
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestIdAllocation:
@@ -229,3 +230,95 @@ class TestTwoServersOneStore:
         runs = servers[1].get_task_runs_for_project(project_id)
         assert len(runs) == len(SPECS)
         assert all(len(answers) == 1 for answers in runs.values())
+
+
+class TestTwoEngineHandlesOneFile:
+    """Two ``SqliteEngine`` connections on one file — what two server
+    processes hold.  ``put_many(if_absent=True)`` returns the caller's own
+    values when SQLite's change count says the whole batch was inserted and
+    reads back otherwise; either way both handles must end up holding the
+    one surviving record per key."""
+
+    @pytest.fixture
+    def handles(self, tmp_path):
+        path = str(tmp_path / "shared.db")
+        engines = [SqliteEngine(path), SqliteEngine(path)]
+        engines[0].create_table("claims")
+        yield engines
+        for built in engines:
+            built.close()
+
+    def test_overlapping_claims_have_one_survivor_both_handles_agree_on(self, handles):
+        batch = 10
+        # Handle 0 walks keys 0..59 upwards, handle 1 walks 89..30 downwards:
+        # the outer thirds are uncontended (every call there wins its whole
+        # batch), the middle third is claimed by both.
+        key_ranges = [
+            [range(lo, lo + batch) for lo in range(0, 60, batch)],
+            [range(lo, lo + batch) for lo in range(80, 20, -batch)],
+        ]
+        returned: list[dict[str, object]] = [{}, {}]
+        read_backs: list[list[int]] = [[], []]
+
+        def claimer(index):
+            engine = handles[index]
+            selects: list[str] = []
+            engine._conn.set_trace_callback(
+                lambda sql: selects.append(sql)
+                if sql.startswith("SELECT key,") and "reprowd_records" in sql
+                else None
+            )
+
+            def worker():
+                for keys in key_ranges[index]:
+                    before = len(selects)
+                    items = [(f"k{i:02d}", {"by": index, "i": i}) for i in keys]
+                    for record in engine.put_many("claims", items, if_absent=True):
+                        returned[index][record.key] = record
+                    read_backs[index].append(len(selects) - before)
+                engine._conn.set_trace_callback(None)
+
+            return worker
+
+        run_threads([claimer(0), claimer(1)])
+
+        assert handles[0].count("claims") == 90
+        for i in range(90):
+            key = f"k{i:02d}"
+            survivor = handles[0].get_record("claims", key)
+            assert survivor == handles[1].get_record("claims", key)
+            assert survivor.version == 1 and survivor.value["i"] == i
+            owners = [index for index in (0, 1) if key in returned[index]]
+            assert survivor.value["by"] in owners
+            for index in owners:
+                assert returned[index][key] == survivor, (key, index)
+        for i in list(range(30)) + list(range(60, 90)):
+            assert handles[0].get("claims", f"k{i:02d}")["by"] == (0 if i < 30 else 1)
+        calls = read_backs[0] + read_backs[1]
+        assert calls.count(0) >= 6  # all-won: nothing read back
+        assert sum(1 for count in calls if count) >= 3  # some-lost: read back
+
+    def test_dedup_claims_across_two_files_handles_yield_one_task_per_key(self, handles):
+        stores = [open_store(built) for built in handles]
+        stores[0].put_project(Project(project_id=1, name="race", short_name="race"))
+        keys = [f"obj-{i}" for i in range(40)]
+        outcomes: list[dict[str, int]] = [{}, {}]
+
+        def claimer(index):
+            def worker():
+                # Opposite orders, four calls each: every key is claimed by
+                # both handles, some first by one and some first by the other.
+                order = keys if index == 0 else keys[::-1]
+                for start in range(0, len(order), 10):
+                    chunk = order[start : start + 10]
+                    claims = [(key, 1000 * (index + 1) + keys.index(key)) for key in chunk]
+                    outcomes[index].update(stores[index].claim_dedup_keys(1, claims))
+
+            return worker
+
+        run_threads([claimer(0), claimer(1)])
+        assert outcomes[0] == outcomes[1]
+        assert sorted(outcomes[0]) == sorted(keys)
+        for key, task_id in outcomes[0].items():
+            assert task_id in (1000 + keys.index(key), 2000 + keys.index(key))
+        assert len(set(outcomes[0].values())) == len(keys)

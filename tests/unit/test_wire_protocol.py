@@ -172,6 +172,11 @@ class TestFraming:
         sock = FakeSocket(frame_bytes(payload), chunk_size=1)
         assert read_frame(sock, DEFAULT_MAX_FRAME_BYTES) == payload
 
+    def test_frame_is_a_length_header_plus_compact_insertion_ordered_json(self):
+        payload = {"op": "ping", "args": [1, "é"], "kwargs": {"z": None, "a": 1.5}}
+        body = b'{"op":"ping","args":[1,"\\u00e9"],"kwargs":{"z":null,"a":1.5}}'
+        assert frame_bytes(payload) == len(body).to_bytes(4, "big") + body
+
     def test_two_frames_back_to_back_then_clean_eof(self):
         data = frame_bytes({"n": 1}) + frame_bytes({"n": 2})
         sock = FakeSocket(data, chunk_size=3)

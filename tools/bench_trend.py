@@ -3,10 +3,16 @@
 
 Every full-scale benchmark writes a machine-readable trajectory to
 ``benchmarks/results/BENCH_<name>.json`` (see ``benchmarks/record.py``).
-The files are committed, so the last committed trajectory is the baseline:
+The files are committed, so an earlier commit's trajectory is the baseline:
 this tool compares each working-tree trajectory against ``git show
-HEAD:<path>`` and exits non-zero when any tracked metric regressed by more
-than ``--tolerance`` (default 20%).
+<base>:<path>`` and exits non-zero when any tracked metric regressed by more
+than ``--tolerance`` (default 20%).  ``--base`` defaults to ``HEAD~1``, the
+parent of the commit under review: a full-scale run refreshed and committed
+in this change is then compared with what the change started from.  (Not
+``HEAD``: smoke runs never write trajectories, so inside ``make check``
+every file would be compared with itself.)  A trajectory identical to its
+base, or absent from it, is reported as *skipped* — nothing was compared,
+which is not a pass.
 
 What counts as a metric is keyed by suffix, recursively over the payload:
 
@@ -17,7 +23,7 @@ What counts as a metric is keyed by suffix, recursively over the payload:
 Everything else (counts, ratios, labels) is ignored: ratios and speedups
 are already asserted by the benchmarks themselves, and sizes do not drift
 with machine load.  Trajectories that exist only in the working tree (a
-brand-new benchmark) or only in HEAD (a renamed one) are skipped with a
+brand-new benchmark) or only in the base (a renamed one) are skipped with a
 note — a baseline appears the first time the file is committed.
 
 Absolute wall-clock shifts smaller than ``--min-delta-seconds`` (default
@@ -25,7 +31,8 @@ Absolute wall-clock shifts smaller than ``--min-delta-seconds`` (default
 are dominated by scheduler noise, not code.
 
 Usage:
-    python tools/bench_trend.py [--tolerance 0.2] [--min-delta-seconds 0.05]
+    python tools/bench_trend.py [--base HEAD~1] [--tolerance 0.2]
+        [--min-delta-seconds 0.05]
 """
 
 from __future__ import annotations
@@ -44,10 +51,10 @@ LOWER_IS_BETTER = ("_seconds",)
 HIGHER_IS_BETTER = ("_per_s", "_per_sec")
 
 
-def committed_payload(rel_path: str) -> dict | None:
-    """The trajectory as committed at HEAD, or None when absent there."""
+def committed_payload(rel_path: str, base: str) -> dict | None:
+    """The trajectory as committed at *base*, or None when absent there."""
     result = subprocess.run(
-        ["git", "show", f"HEAD:{rel_path}"],
+        ["git", "show", f"{base}:{rel_path}"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
@@ -117,6 +124,12 @@ def compare(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
+        "--base",
+        default="HEAD~1",
+        help="git ref whose committed trajectories are the baseline "
+        "(default HEAD~1, the parent of the commit under review)",
+    )
+    parser.add_argument(
         "--tolerance",
         type=float,
         default=0.20,
@@ -136,16 +149,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     problems: list[str] = []
-    checked = 0
+    checked = skipped = 0
     for path in paths:
         rel_path = os.path.relpath(path, REPO_ROOT)
         name = os.path.basename(path)
-        baseline = committed_payload(rel_path)
-        if baseline is None:
-            print(f"bench-trend: {name}: no committed baseline yet, skipping")
-            continue
         with open(path, encoding="utf-8") as handle:
             current = json.load(handle)
+        baseline = committed_payload(rel_path, args.base)
+        if baseline is None or baseline == current:
+            why = "no baseline in" if baseline is None else "unchanged since"
+            print(f"bench-trend: {name}: {why} {args.base}, skipped")
+            skipped += 1
+            continue
         problems.extend(
             compare(name, baseline, current, args.tolerance, args.min_delta_seconds)
         )
@@ -154,14 +169,20 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         print(
             f"bench-trend: {len(problems)} regression(s) beyond "
-            f"{args.tolerance:.0%} vs HEAD:"
+            f"{args.tolerance:.0%} vs {args.base}:"
         )
         for problem in problems:
             print(f"  - {problem}")
         return 1
+    if not checked:
+        print(
+            f"bench-trend: SKIPPED, nothing to compare — all {skipped} trajectory "
+            f"file(s) are identical to {args.base} or absent from it"
+        )
+        return 0
     print(
-        f"bench-trend: {checked} trajectory file(s) within "
-        f"{args.tolerance:.0%} of the committed baseline"
+        f"bench-trend: {checked} trajectory file(s) within {args.tolerance:.0%} "
+        f"of {args.base}, {skipped} skipped"
     )
     return 0
 
