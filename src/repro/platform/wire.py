@@ -25,17 +25,17 @@ Protocol (see ``docs/wire.md``):
   "error": {"kind": ..., "message": ..., "attrs": {...}}}``.  Error kinds
   name :mod:`repro.exceptions` classes and are re-raised client-side as the
   matching exception.
-* **Values** — JSON scalars, lists and string-keyed dicts pass through;
-  model objects, tuples and non-string-keyed dicts travel as tagged
-  objects (``{"__wire__": "task", ...}``) and are rebuilt on the far side.
+* **Values** — plain JSON passes through; tuples and non-string-keyed dicts
+  travel as tagged objects and models as positional rows (``{"__wire__":
+  "runs", "rows": [[...], ...]}``), rebuilt on the far side by the framing.
 
 Failure semantics: any connect/reset/EOF/timeout on the client raises
 :class:`~repro.exceptions.PlatformUnavailableError` — the *retryable* error
 the platform stack already knows — after dropping the connection, so the
 next attempt reconnects from scratch.  Combined with dedup keys, a call
 whose response was lost mid-wire replays exactly-once against the restarted
-server.  Server-side errors keep the connection open; they are answers, not
-faults.
+server.  Server-side errors — a whole frame that does not decode included —
+keep the connection open; they are answers, not faults.
 
 Composition limits: ``WireTransport`` is a per-attempt transport like
 ``DirectTransport``; wrapping it in an ``AsyncTransport`` (the pipelined
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import socket
 import struct
@@ -88,6 +89,7 @@ DEFAULT_WIRE_RETRY_BACKOFF = 0.05
 
 #: Key marking a dict as a tagged wire value rather than a plain mapping.
 _TAG = "__wire__"
+_TAG_BYTES = _TAG.encode("ascii")
 
 _HEADER = struct.Struct("!I")
 
@@ -138,61 +140,99 @@ class FrameTooLargeError(PlatformError):
 
 # -- value encoding ----------------------------------------------------------
 
+#: Models cross the wire positionally, in dataclass field order
+#: (tests/unit/test_wire_protocol.py pins these against the dataclasses).
+_PROJECT_FIELDS = (
+    "project_id", "name", "short_name", "description", "task_presenter", "created_at",
+)  # fmt: skip
+_TASK_FIELDS = (
+    "task_id", "project_id", "info", "n_assignments", "priority", "created_at",
+    "completed_at",
+)  # fmt: skip
+_RUN_FIELDS = (
+    "run_id", "task_id", "project_id", "worker_id", "answer", "submitted_at",
+    "latency_seconds", "assignment_order",
+)  # fmt: skip
+_FIELDS = {Project: _PROJECT_FIELDS, Task: _TASK_FIELDS, TaskRun: _RUN_FIELDS}
+_ROW_OF = {cls: operator.attrgetter(*names) for cls, names in _FIELDS.items()}
+
+#: Tag of one model (``"row"``) and of a homogeneous list of them (``"rows"``).
+_ROW_TAGS = {"project": Project, "task": Task, "run": TaskRun}
+_ROWS_TAGS = {"tasks": Task, "runs": TaskRun}
+_LIST_TAG_OF = {cls: tag for tag, cls in _ROWS_TAGS.items()}
+
+#: Every tag the codec emits and accepts (tabled in ``docs/wire.md``).
+WIRE_TAGS = frozenset({"tuple", "map", *_ROW_TAGS, *_ROWS_TAGS})
+
+#: Exact types both walkers hand back untouched, checked before recursing.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def encode_value(value: Any) -> Any:
     """Encode *value* into the JSON-safe wire representation.
 
-    Plain JSON shapes pass through; model objects, tuples and dicts with
-    non-string keys (or that collide with the tag key) become tagged
-    objects :func:`decode_value` rebuilds exactly.
+    Plain JSON shapes pass through; tuples and dicts with non-string keys
+    (or that collide with the tag key) become tagged objects, and models
+    positional rows whose ``info`` / ``answer`` ride as they are — one
+    ``rows`` object per homogeneous list.  :func:`decode_value` rebuilds
+    each exactly.  Dispatch is on the exact type, subclasses fall through.
     """
-    if isinstance(value, Project):
-        return {_TAG: "project", "data": value.to_dict()}
-    if isinstance(value, Task):
-        return {_TAG: "task", "data": value.to_dict()}
-    if isinstance(value, TaskRun):
-        return {_TAG: "run", "data": value.to_dict()}
-    if isinstance(value, tuple):
-        return {_TAG: "tuple", "items": [encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return [encode_value(item) for item in value]
-    if isinstance(value, dict):
-        if _TAG not in value and all(isinstance(key, str) for key in value):
-            return {key: encode_value(item) for key, item in value.items()}
-        # Non-string keys (extend_tasks_redundancy keys by task id) or a
-        # payload that happens to contain the tag key itself: ship as an
-        # explicit pair list so nothing is mistaken for a tagged object.
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is list:
+        first = type(value[0]) if value else None
+        if first in _LIST_TAG_OF and len(set(map(type, value))) == 1:
+            return {_TAG: _LIST_TAG_OF[first], "rows": list(map(_ROW_OF[first], value))}
+        return [v if type(v) in _SCALARS else encode_value(v) for v in value]
+    if kind is dict:
+        for key in value:
+            if type(key) is not str or key == _TAG:
+                # Non-string keys (task ids) or a payload spelling the tag key:
+                # explicit pairs, so nothing is mistaken for a tagged object.
+                pairs = [[encode_value(k), encode_value(v)] for k, v in value.items()]
+                return {_TAG: "map", "items": pairs}
         return {
-            _TAG: "map",
-            "items": [
-                [encode_value(key), encode_value(item)] for key, item in value.items()
-            ],
+            k: v if type(v) in _SCALARS else encode_value(v) for k, v in value.items()
         }
+    if kind is tuple:
+        return {_TAG: "tuple", "items": [encode_value(item) for item in value]}
+    for tag, cls in _ROW_TAGS.items():
+        if isinstance(value, cls):
+            return {_TAG: tag, "row": _ROW_OF[cls](value)}
+    for base in (list, dict, tuple):
+        if isinstance(value, base):
+            return encode_value(base(value))
     return value
+
+
+def _build_models(cls: type, rows: list) -> list:
+    width = len(_FIELDS[cls])
+    if set(map(len, rows)) - {width}:  # a short row must not pick up defaults
+        raise PlatformError(f"a {cls.__name__} row has exactly {width} fields")
+    return [cls(*row) for row in rows]
 
 
 def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value`."""
-    if isinstance(value, list):
-        return [decode_value(item) for item in value]
-    if isinstance(value, dict):
-        tag = value.get(_TAG)
-        if tag is None:
-            return {key: decode_value(item) for key, item in value.items()}
-        if tag == "project":
-            return Project.from_dict(value["data"])
-        if tag == "task":
-            return Task.from_dict(value["data"])
-        if tag == "run":
-            return TaskRun.from_dict(value["data"])
-        if tag == "tuple":
-            return tuple(decode_value(item) for item in value["items"])
-        if tag == "map":
-            return {
-                decode_value(key): decode_value(item) for key, item in value["items"]
-            }
-        raise PlatformError(f"unknown wire value tag {tag!r}")
-    return value
+    """Invert :func:`encode_value` (given what ``json.loads`` hands back)."""
+    if type(value) is list:
+        return [v if type(v) in _SCALARS else decode_value(v) for v in value]
+    if type(value) is not dict:
+        return value
+    tag = value.get(_TAG)
+    if tag is None:
+        return {
+            k: v if type(v) in _SCALARS else decode_value(v) for k, v in value.items()
+        }
+    if tag in _ROWS_TAGS:
+        return _build_models(_ROWS_TAGS[tag], value["rows"])
+    if tag in _ROW_TAGS:
+        return _build_models(_ROW_TAGS[tag], [value["row"]])[0]
+    if tag == "tuple":
+        return tuple(decode_value(item) for item in value["items"])
+    if tag == "map":
+        return {decode_value(key): decode_value(item) for key, item in value["items"]}
+    raise PlatformError(f"unknown wire value tag {tag!r}")
 
 
 # -- error encoding ----------------------------------------------------------
@@ -247,11 +287,9 @@ def decode_error(error: dict[str, Any]) -> ReprowdError:
 _encode_frame = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def write_frame(
-    sock: socket.socket, payload: dict[str, Any], max_frame_bytes: int
-) -> None:
-    """Send one frame; raises :class:`FrameTooLargeError` before sending."""
-    data = _encode_frame(payload).encode("utf-8")
+def write_frame(sock: socket.socket, payload: Any, max_frame_bytes: int) -> None:
+    """Encode and send one frame; :class:`FrameTooLargeError` before sending."""
+    data = _encode_frame(encode_value(payload)).encode("utf-8")
     if len(data) > max_frame_bytes:
         raise FrameTooLargeError(len(data), max_frame_bytes)
     # One sendall for header+body: a killed peer then fails the whole
@@ -273,14 +311,15 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(sock: socket.socket, max_frame_bytes: int) -> dict[str, Any] | None:
-    """Read one frame; None on a clean EOF *between* frames.
+def read_frame(sock: socket.socket, max_frame_bytes: int) -> Any:
+    """Read one frame as live values; None on a clean EOF *between* frames.
 
     EOF inside a frame (header or body) raises :class:`ConnectionError` —
     a peer died mid-message, which the client maps to
     :class:`PlatformUnavailableError`.  Partial ``recv`` returns are
     reassembled, so a frame split across arbitrarily many TCP segments
-    reads back whole.
+    reads back whole.  A whole frame that is not JSON or does not rebuild
+    raises a plain :class:`PlatformError`; the stream is still in sync.
     """
     header = b""
     while len(header) < _HEADER.size:
@@ -293,7 +332,15 @@ def read_frame(sock: socket.socket, max_frame_bytes: int) -> dict[str, Any] | No
     (length,) = _HEADER.unpack(header)
     if length > max_frame_bytes:
         raise FrameTooLargeError(length, max_frame_bytes)
-    return json.loads(_recv_exact(sock, length).decode("utf-8"))
+    body = _recv_exact(sock, length)
+    try:
+        value = json.loads(body.decode("utf-8"))
+        # Decoding a structure that never spells the tag key rebuilds an
+        # equal one, and an honest peer's ASCII-escaped JSON spells it
+        # literally: one C substring scan stands in for the whole walk.
+        return decode_value(value) if _TAG_BYTES in body else value
+    except Exception as exc:  # noqa: BLE001 - hostile bytes fail in many ways
+        raise PlatformError(f"malformed wire value ({exc!r})") from exc
 
 
 # -- client side -------------------------------------------------------------
@@ -339,24 +386,17 @@ class WireTransport(Transport):
                 pass
 
     def call(self, name: str, method: Any, *args: Any, **kwargs: Any) -> Any:
-        request = {
-            "op": name,
-            "args": [encode_value(arg) for arg in args],
-            "kwargs": {key: encode_value(value) for key, value in kwargs.items()},
-        }
+        request = {"op": name, "args": list(args), "kwargs": kwargs}
         try:
             sock = self._connect()
             write_frame(sock, request, self.max_frame_bytes)
             response = read_frame(sock, self.max_frame_bytes)
-        except FrameTooLargeError:
-            # Outbound: nothing was sent.  Inbound: the stream is desynced.
-            # Dropping is safe either way, and the error is deterministic,
-            # so it must not look retryable.
+        except PlatformError:
+            # Oversized (nothing sent, or the stream is desynced) or malformed
+            # (a retry reads the same bytes): drop, and never look retryable.
             self._drop()
             raise
-        except (OSError, ValueError) as exc:
-            # OSError covers connect/reset/timeout; ValueError covers a
-            # corrupt (non-JSON) frame from a dying peer.
+        except OSError as exc:  # connect/reset/EOF/timeout
             self._drop()
             raise PlatformUnavailableError(
                 f"wire call {name!r} to {self.host}:{self.port} failed: {exc}"
@@ -366,8 +406,10 @@ class WireTransport(Transport):
             raise PlatformUnavailableError(
                 f"server closed the connection during {name!r}"
             )
+        if not isinstance(response, dict):
+            raise PlatformError(f"malformed wire value: {name!r} reply is no object")
         if response.get("ok"):
-            return decode_value(response.get("result"))
+            return response.get("result")
         raise decode_error(response.get("error") or {})
 
     def close(self) -> None:
@@ -597,7 +639,7 @@ class WireServer:
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
-            self._threads.append(thread)
+            self._threads = [t for t in self._threads if t.is_alive()] + [thread]
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -605,17 +647,18 @@ class WireServer:
             while not self._stopping.is_set():
                 try:
                     request = read_frame(conn, self.max_frame_bytes)
-                except FrameTooLargeError as exc:
-                    # Reject, answer, and drop the connection: the unread
-                    # body bytes make the stream unusable.
-                    self._respond(conn, {"ok": False, "error": encode_error(exc)})
-                    return
-                except (OSError, ValueError):
-                    return  # peer died or sent garbage; nothing to answer
+                except PlatformError as exc:
+                    # A malformed frame is answered like any server error; an
+                    # oversized one too, but its unread body ends the stream.
+                    error = {"ok": False, "error": encode_error(exc)}
+                    if not self._respond(conn, error) or isinstance(exc, FrameTooLargeError):
+                        return
+                    continue
+                except OSError:
+                    return  # peer died mid-frame; nothing to answer
                 if request is None:
                     return  # clean disconnect between frames
-                response = self._dispatch(request)
-                if not self._respond(conn, response):
+                if not self._respond(conn, self._dispatch(request)):
                     return
         finally:
             with self._connections_lock:
@@ -640,19 +683,16 @@ class WireServer:
         except OSError:
             return False
 
-    def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = request.get("op")
-        if not isinstance(op, str) or op not in WIRE_OPS:
-            return {
-                "ok": False,
-                "error": encode_error(PlatformError(f"unknown wire operation {op!r}")),
-            }
-        args = [decode_value(arg) for arg in request.get("args") or []]
-        kwargs = {
-            key: decode_value(value)
-            for key, value in (request.get("kwargs") or {}).items()
-        }
+    def _dispatch(self, request: Any) -> dict[str, Any]:
         try:
+            if not isinstance(request, dict):
+                raise PlatformError("malformed wire value: a request is an object")
+            op = request.get("op")
+            if not isinstance(op, str) or op not in WIRE_OPS:
+                raise PlatformError(f"unknown wire operation {op!r}")
+            args, kwargs = request.get("args") or [], request.get("kwargs") or {}
+            if not (isinstance(args, list) and isinstance(kwargs, dict)):
+                raise PlatformError("malformed wire value: args [...], kwargs {...}")
             with self._dispatch_lock:
                 if op == "ping":
                     result: Any = "pong"
@@ -660,7 +700,7 @@ class WireServer:
                     result = self.platform.flush()
                 else:
                     result = getattr(self.platform, op)(*args, **kwargs)
-            return {"ok": True, "result": encode_value(result)}
+            return {"ok": True, "result": result}
         except Exception as exc:  # noqa: BLE001 - every failure must cross the wire
             return {"ok": False, "error": encode_error(exc)}
 

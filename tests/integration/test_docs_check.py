@@ -86,6 +86,25 @@ def test_wire_op_check_catches_drift_in_both_directions(monkeypatch):
     assert any("'get_task_runs_slice'" in problem for problem in problems)
 
 
+def test_wire_tag_table_matches_the_codec():
+    checker = load_checker()
+    assert checker.check_wire_tags_documented() == []
+
+
+def test_wire_tag_check_catches_drift_in_both_directions(monkeypatch):
+    checker = load_checker()
+    page = checker._read(str(REPO_ROOT / checker.WIRE_DOC))
+    drifted = page.replace('| `"runs"` |', '| `"answers"` |')
+    assert drifted != page
+    monkeypatch.setattr(checker, "_read", lambda path: drifted)
+    problems = checker.check_wire_tags_documented()
+    assert len(problems) == 2
+    assert any("'runs'" in problem for problem in problems)
+    assert any("'answers'" in problem for problem in problems)
+    # The two tables of the page do not read each other's rows.
+    assert checker.check_wire_ops_documented() == []
+
+
 def test_docs_check_passes_end_to_end():
     """The exact check `make docs-check` runs, quickstart included."""
     checker = load_checker()

@@ -10,10 +10,13 @@ inside a header, oversized frames in both directions) are deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -31,6 +34,7 @@ from repro.platform.server import PlatformServer
 from repro.platform.store import DurableTaskStore
 from repro.platform.client import PipelinedClient, PlatformClient
 from repro.platform.transport import CountingTransport, retry_call
+from repro.platform import wire
 from repro.platform.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameTooLargeError,
@@ -94,6 +98,65 @@ class TestValueCodec:
     def test_unknown_tag_raises(self):
         with pytest.raises(PlatformError, match="unknown wire value tag"):
             decode_value({"__wire__": "no-such-tag"})
+
+    def test_positional_field_order_is_the_dataclass_field_order(self):
+        # Rows are rebuilt with ``Model(*row)``: a reordered dataclass that
+        # left these tuples behind would scramble fields silently.
+        for model, names in [
+            (Project, wire._PROJECT_FIELDS),
+            (Task, wire._TASK_FIELDS),
+            (TaskRun, wire._RUN_FIELDS),
+        ]:
+            assert names == tuple(f.name for f in dataclasses.fields(model))
+
+    def test_model_lists_travel_as_rows_only_when_homogeneous(self):
+        task = Task(task_id=9, project_id=3, info={"url": "img"})
+        run = TaskRun(run_id=4, task_id=9, project_id=3, worker_id="w1", answer="Yes")
+        assert encode_value([run, run]) == {
+            "__wire__": "runs",
+            "rows": [(4, 9, 3, "w1", "Yes", 0.0, 0.0, 1)] * 2,
+        }
+        assert encode_value([task])["__wire__"] == "tasks"
+        assert encode_value([]) == []
+        mixed = encode_value([task, run, 5])
+        assert [item["__wire__"] for item in mixed[:2]] == ["task", "run"]
+        assert self.roundtrip([task, run, 5]) == [task, run, 5]
+
+    def test_info_containing_the_tag_key_rides_raw_inside_the_row(self):
+        task = Task(task_id=1, project_id=1, info={"__wire__": "run", "row": [1]})
+        assert encode_value(task)["row"][2] is task.info
+        assert self.roundtrip([task]) == [task]
+
+    def test_subclasses_take_the_fallback_path(self):
+        class Spec(dict):
+            pass
+
+        class Pair(tuple):
+            pass
+
+        class MyTask(Task):
+            pass
+
+        assert self.roundtrip(Spec(a=[1])) == {"a": [1]}
+        assert self.roundtrip(Pair((1, 2))) == (1, 2)
+        mine = MyTask(task_id=1, project_id=1, info={})
+        assert self.roundtrip([mine]) == [Task(task_id=1, project_id=1, info={})]
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"__wire__": "task"},  # no row
+            {"__wire__": "runs"},  # no rows
+            {"__wire__": "run", "row": [1, 2, 3]},  # too short: defaults must not fill in
+            {"__wire__": "tasks", "rows": [[1, 1, {}, 3, 0.0, 0.0, None, "extra"]]},
+            {"__wire__": "tuple"},
+            {"__wire__": "map", "items": [[1, 2, 3]]},
+            {"__wire__": ["unhashable"]},
+        ],
+    )
+    def test_malformed_tagged_values_raise(self, value):
+        with pytest.raises((PlatformError, KeyError, TypeError, ValueError)):
+            decode_value(value)
 
 
 # -- error codec -------------------------------------------------------------
@@ -166,6 +229,16 @@ def frame_bytes(payload: dict) -> bytes:
     return sink.sent
 
 
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """One entry per ``decode_value`` call, recursive ones included — counted
+    by patching the name, as ``test_incremental_steps.py`` counts key hashes."""
+    calls = []
+    real = decode_value
+    monkeypatch.setattr(wire, "decode_value", lambda value: calls.append(1) or real(value))
+    return calls
+
+
 class TestFraming:
     def test_frame_split_into_single_bytes_reads_back_whole(self):
         payload = {"op": "ping", "args": [1, 2, 3], "kwargs": {"k": "v"}}
@@ -206,6 +279,107 @@ class TestFraming:
         with pytest.raises(FrameTooLargeError):
             write_frame(sock, {"blob": "x" * 500}, 64)
         assert sock.sent == b""  # nothing hit the wire
+
+    def test_runs_page_reply_frame_bytes_are_pinned(self):
+        runs = [
+            TaskRun(4, 7, 1, "w0028", "No", 51.5, 51.5, 1),
+            TaskRun(5, 7, 1, "w0033", {"label": "B"}, 66.75, 15.25, 2),
+        ]
+        body = (
+            b'{"ok":true,"result":[{"__wire__":"tuple","items":[7,{"__wire__":"runs",'
+            b'"rows":[[4,7,1,"w0028","No",51.5,51.5,1],'
+            b'[5,7,1,"w0033",{"label":"B"},66.75,15.25,2]]}]},'
+            b'{"__wire__":"tuple","items":[8,[]]}]}'
+        )
+        reply = {"ok": True, "result": [(7, runs), (8, [])]}
+        assert frame_bytes(reply) == len(body).to_bytes(4, "big") + body
+        assert read_frame(FakeSocket(frame_bytes(reply), 7), DEFAULT_MAX_FRAME_BYTES) == reply
+
+    def test_create_tasks_reply_frame_bytes_are_pinned(self):
+        tasks = [
+            Task(1, 1, {"url": "img-0", "candidates": ["Yes", "No"]}, 3, 0.0, 2.5, None),
+            Task(2, 1, {"url": "img-1", "candidates": ["Yes", "No"]}, 2, 1.0, 2.5, 9.0),
+        ]
+        body = (
+            b'{"ok":true,"result":{"__wire__":"tasks","rows":['
+            b'[1,1,{"url":"img-0","candidates":["Yes","No"]},3,0.0,2.5,null],'
+            b'[2,1,{"url":"img-1","candidates":["Yes","No"]},2,1.0,2.5,9.0]]}}'
+        )
+        reply = {"ok": True, "result": tasks}
+        assert frame_bytes(reply) == len(body).to_bytes(4, "big") + body
+        assert read_frame(FakeSocket(frame_bytes(reply), 64), DEFAULT_MAX_FRAME_BYTES) == reply
+
+    def test_single_model_frame_is_a_positional_row(self):
+        project = Project(3, "p", "p", "d", "<b/>", 1.5)
+        body = b'{"ok":true,"result":{"__wire__":"project","row":[3,"p","p","d","<b/>",1.5]}}'
+        reply = {"ok": True, "result": project}
+        assert frame_bytes(reply)[4:] == body
+        assert read_frame(FakeSocket(frame_bytes(reply), 5), DEFAULT_MAX_FRAME_BYTES) == reply
+
+    def test_a_page_of_runs_costs_at_most_100_bytes_per_run(self):
+        page = [
+            (
+                task_id,
+                [
+                    TaskRun(
+                        run_id=task_id * 3 + k,
+                        task_id=task_id,
+                        project_id=1,
+                        worker_id=f"w{k:04d}",
+                        answer="Yes",
+                        submitted_at=1234.567890123456 + k,
+                        latency_seconds=12.345678901234567,
+                        assignment_order=k + 1,
+                    )
+                    for k in range(3)
+                ],
+            )
+            for task_id in range(1, 31)
+        ]
+        frame = frame_bytes({"ok": True, "result": page})
+        assert len(frame) / 90 <= 100  # the named-field objects cost 211 B per run
+
+    def test_tag_free_request_reaches_the_verb_without_a_decode_call(self, decode_calls):
+        calls = decode_calls
+        platform = make_platform()
+        project = platform.create_project("counted").project_id
+        seen_at_verb = []
+        create_tasks = platform.create_tasks
+
+        def counted_create_tasks(*args, **kwargs):
+            seen_at_verb.append(len(calls))
+            return create_tasks(*args, **kwargs)
+
+        platform.create_tasks = counted_create_tasks
+        server = WireServer(platform)
+        try:
+            request = {"op": "create_tasks", "args": [project, SPECS], "kwargs": {}}
+            sock = FakeSocket(frame_bytes(request), 4096)
+            response = server._dispatch(read_frame(sock, DEFAULT_MAX_FRAME_BYTES))
+        finally:
+            server.stop()
+        assert response["ok"] and len(response["result"]) == len(SPECS)
+        assert seen_at_verb == [0]
+
+    def test_decoding_a_runs_page_makes_no_call_per_run(self, decode_calls):
+        pairs = [
+            (t, [TaskRun(t * 3 + k, t, 1, "w", "A", 1.0, 1.0, k + 1) for k in range(3)])
+            for t in range(1, 31)
+        ]
+        frame = frame_bytes({"ok": True, "result": pairs})
+        calls = decode_calls
+        reply = read_frame(FakeSocket(frame, 4096), DEFAULT_MAX_FRAME_BYTES)
+        assert reply["result"] == pairs
+        assert 0 < len(calls) <= 4 * len(pairs)  # one per run on top, before rows
+
+    def test_whole_frame_that_does_not_decode_is_a_plain_platform_error(self):
+        for body in (b"{not json", b'{"r":{"__wire__":"runs"}}', b'{"__wire__":"zzz"}'):
+            sock = FakeSocket(len(body).to_bytes(4, "big") + body + frame_bytes({"n": 1}), 3)
+            with pytest.raises(PlatformError, match="malformed wire value") as info:
+                read_frame(sock, DEFAULT_MAX_FRAME_BYTES)
+            assert type(info.value) is PlatformError  # not retryable, not oversized
+            # The stream is still in sync: the next frame reads back whole.
+            assert read_frame(sock, DEFAULT_MAX_FRAME_BYTES) == {"n": 1}
 
     def test_real_socketpair_roundtrip(self):
         left, right = socket.socketpair()
@@ -519,6 +693,79 @@ class TestWireServerClient:
                 # A fresh client call reconnects and succeeds.
                 found = client.find_project("healing")
                 assert found is not None and found.name == "healing"
+            finally:
+                client.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"op":"ping","args":[{"__wire__":"task"}]}',
+            b'{"op":"ping","args":[{"__wire__":"no-such-tag"}]}',
+            b'{"op":"ping","args":5}',
+            b'{"op":"ping","kwargs":[1]}',
+            b"[1,2]",
+            b'{"op":"ping","args":[{"__wire__":"runs"}]}',
+            b'{"op":"ping","args":[{"__wire__":"run","row":[1,2,3]}]}',
+            b'{"op":"ping","args":[{"__wire__":"tasks","rows":[[1,2,3,4,5,6,7,8]]}]}',
+            b"{not json at all",
+        ],
+    )
+    def test_malformed_frame_gets_a_typed_answer_and_the_connection_lives(self, body):
+        # Each of these killed the connection thread with an uncaught
+        # exception: the client saw a bare EOF and retried the same frame.
+        with WireServer(make_platform()) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                sock.sendall(len(body).to_bytes(4, "big") + body)
+                answer = read_frame(sock, DEFAULT_MAX_FRAME_BYTES)
+                assert answer["ok"] is False
+                assert answer["error"]["kind"] == "PlatformError"
+                assert "malformed wire value" in answer["error"]["message"]
+                write_frame(sock, {"op": "ping"}, DEFAULT_MAX_FRAME_BYTES)
+                pong = {"ok": True, "result": "pong"}
+                assert read_frame(sock, DEFAULT_MAX_FRAME_BYTES) == pong
+                (thread,) = server._threads
+                assert thread.is_alive()
+
+    def test_malformed_reply_raises_once_instead_of_retrying(self):
+        # A peer that answers every request with a frame that does not
+        # rebuild: the same bytes would come back, so no attempt is repeated.
+        listener = socket.create_server(("127.0.0.1", 0))
+        requests = []
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                while read_frame(conn, DEFAULT_MAX_FRAME_BYTES) is not None:
+                    requests.append(1)
+                    body = b'{"ok":true,"result":{"__wire__":"runs"}}'
+                    conn.sendall(len(body).to_bytes(4, "big") + body)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(PlatformError, match="malformed wire value") as info:
+                WireClient(*listener.getsockname()[:2], max_retries=4, retry_backoff=0.0)
+            assert not isinstance(info.value, PlatformUnavailableError)
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert requests == [1]
+        finally:
+            listener.close()
+
+    def test_finished_connection_threads_are_pruned(self):
+        with WireServer(make_platform()) as server:
+            for _ in range(50):
+                client = WireClient(server.host, server.port)
+                assert client.transport.call("ping", None) == "pong"
+                client.close()
+            deadline = time.monotonic() + 5
+            while any(t.is_alive() for t in server._threads):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            client = WireClient(server.host, server.port)  # one live connection
+            try:
+                assert client.transport.call("ping", None) == "pong"
+                assert len(server._threads) <= 1 + 1
             finally:
                 client.close()
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: lint the docs set, then smoke the quickstart.
 
-Six checks, all cheap enough for tier-1 (see ``make docs-check`` and
+Seven checks, all cheap enough for tier-1 (see ``make docs-check`` and
 ``tests/integration/test_docs_check.py``):
 
 1. **Link lint** — every relative link or image target in ``README.md`` and
@@ -22,7 +22,10 @@ Six checks, all cheap enough for tier-1 (see ``make docs-check`` and
 5. **Wire-op table** — the op table of ``docs/wire.md`` must list exactly
    the ops in ``repro.platform.wire.WIRE_OPS``: the wire surface cannot
    change without its documentation changing with it.
-6. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
+6. **Wire-tag table** — the tag table of ``docs/wire.md`` must list exactly
+   the tags in ``repro.platform.wire.WIRE_TAGS``, the ones the value codec
+   emits and accepts.
+7. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
    a throwaway database and its output must prove the fault-recovery
    guarantee the README promises: the second run publishes zero new tasks.
 
@@ -52,7 +55,7 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 #: The catalogue page every benchmark file must appear in.
 BENCH_CATALOGUE = os.path.join("docs", "benchmarks.md")
 
-#: The page whose op table must equal ``WIRE_OPS``.
+#: The page whose op table must equal ``WIRE_OPS`` and tag table ``WIRE_TAGS``.
 WIRE_DOC = os.path.join("docs", "wire.md")
 
 
@@ -180,27 +183,46 @@ def check_benchmark_catalogue() -> list[str]:
     return problems
 
 
-def check_wire_ops_documented() -> list[str]:
-    """The op table of docs/wire.md must equal ``WIRE_OPS``, both ways."""
+def _check_wire_table(constant: str, what: str, leading_cell: str) -> list[str]:
+    """A table of docs/wire.md must equal a name-set of the wire module, both ways.
+
+    The table is the rows whose leading cell matches *leading_cell* — one
+    lone code span, whose group 1 is the documented name.
+    """
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     try:
-        from repro.platform.wire import WIRE_OPS
+        from repro.platform import wire
     finally:
         sys.path.pop(0)
+    names = getattr(wire, constant)
     wire_doc = os.path.join(REPO_ROOT, WIRE_DOC)
     if not os.path.exists(wire_doc):
         return [f"missing wire protocol page: {WIRE_DOC}"]
-    # The table is the rows whose leading cell is one lone code span.
-    documented = set(re.findall(r"^\|\s*`(\w+)`\s*\|", _read(wire_doc), re.MULTILINE))
+    pattern = rf"^\|\s*`{leading_cell}`\s*\|"
+    documented = set(re.findall(pattern, _read(wire_doc), re.MULTILINE))
     problems = [
-        f"{WIRE_DOC}: wire op {op!r} is in WIRE_OPS but not in the op table"
-        for op in sorted(WIRE_OPS - documented)
+        f"{WIRE_DOC}: wire {what} {name!r} is in {constant} but not in the {what} table"
+        for name in sorted(names - documented)
     ]
     problems.extend(
-        f"{WIRE_DOC}: the op table lists {op!r}, which is not in WIRE_OPS"
-        for op in sorted(documented - WIRE_OPS)
+        f"{WIRE_DOC}: the {what} table lists {name!r}, which is not in {constant}"
+        for name in sorted(documented - names)
     )
     return problems
+
+
+def check_wire_ops_documented() -> list[str]:
+    """The op table of docs/wire.md must equal ``WIRE_OPS``, both ways."""
+    return _check_wire_table("WIRE_OPS", "op", r"(\w+)")
+
+
+def check_wire_tags_documented() -> list[str]:
+    """The tag table of docs/wire.md must equal ``WIRE_TAGS``, both ways.
+
+    Its leading cells spell the tag as it appears in a frame, quotes
+    included (``"runs"``), which is what keeps the two tables apart.
+    """
+    return _check_wire_table("WIRE_TAGS", "tag", r'"(\w+)"')
 
 
 def run_quickstart() -> list[str]:
@@ -253,6 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     problems.extend(check_config_field_coverage(existing))
     problems.extend(check_benchmark_catalogue())
     problems.extend(check_wire_ops_documented())
+    problems.extend(check_wire_tags_documented())
     if not args.skip_quickstart:
         problems.extend(run_quickstart())
 
@@ -264,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     quickstart_note = "skipped" if args.skip_quickstart else "ok"
     print(
         f"docs-check: {checked} markdown file(s) link-clean and cross-linked, "
-        "config fields + benchmark catalogue + wire ops covered, "
+        "config fields + benchmark catalogue + wire ops and tags covered, "
         f"quickstart {quickstart_note}"
     )
     return 0
