@@ -2,7 +2,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast test-ring test-replica test-wire test-workload test-quality bench bench-smoke bench-e0 bench-e0-smoke bench-trend profile docs-check examples-check check
+.PHONY: test test-fast test-ring test-replica test-wire test-workload test-quality bench bench-smoke bench-e0 bench-e0-smoke bench-trend profile docs-check examples-check import-check check
 
 test:
 	$(PYTEST) -x -q
@@ -88,7 +88,14 @@ docs-check:
 examples-check:
 	PYTHONPATH=src python tools/examples_check.py
 
-# The pre-PR gate: quick tests, docs lint + quickstart, examples, bench
-# smoke, E0 smoke, and the benchmark trend gate (trajectories this change
-# refreshed vs HEAD~1; smoke runs write none, so it usually reports skipped).
-check: test-fast docs-check examples-check bench-smoke bench-e0-smoke bench-trend
+# What each entry point imports in a fresh interpreter (modules, repro.*
+# modules, numpy, max-RSS, wall); fails when a count exceeds its budget row
+# in docs/architecture.md ("Import layering and cold start").
+import-check:
+	python tools/import_budget.py
+
+# The pre-PR gate: quick tests, docs lint + quickstart, examples, the import
+# budget, bench smoke, E0 smoke, and the benchmark trend gate (trajectories
+# this change refreshed vs HEAD~1; smoke runs write none, so it usually
+# reports skipped).
+check: test-fast docs-check examples-check import-check bench-smoke bench-e0-smoke bench-trend

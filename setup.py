@@ -1,8 +1,8 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Package metadata for ``pip install -e .`` (optional).
 
-Metadata lives in pyproject.toml; this file only enables legacy
-(``pip install -e . --no-use-pep517``) editable installs on machines where
-PEP 517 editable builds are unavailable.
+This file is the repository's whole build configuration (there is no
+pyproject.toml).  Tests, tools and benchmarks run straight from the checkout
+with ``PYTHONPATH=src`` and need no install.
 """
 
 from setuptools import find_packages, setup

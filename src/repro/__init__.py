@@ -27,29 +27,24 @@ Quickstart (Bob's experiment from Figure 2)::
     print(data.column("mv"))
 """
 
-from repro.config import PlatformConfig, ReprowdConfig, StorageConfig, WorkerPoolConfig
-from repro.core.budget import BudgetExceededError, BudgetTracker
-from repro.core.context import CrowdContext
-from repro.core.crowddata import CrowdData
-from repro.core.export import ExperimentExporter
-from repro.core.session import ExperimentSession
-from repro.exceptions import ReprowdError
-from repro.quality.adaptive import AdaptivePolicy
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CrowdContext",
-    "CrowdData",
-    "ExperimentSession",
-    "ExperimentExporter",
-    "BudgetTracker",
-    "BudgetExceededError",
-    "AdaptivePolicy",
-    "ReprowdConfig",
-    "StorageConfig",
-    "PlatformConfig",
-    "WorkerPoolConfig",
-    "ReprowdError",
-    "__version__",
-]
+_EXPORTS = {
+    "CrowdContext": "core.context",
+    "CrowdData": "core.crowddata",
+    "ExperimentSession": "core.session",
+    "ExperimentExporter": "core.export",
+    "BudgetTracker": "core.budget",
+    "BudgetExceededError": "core.budget",
+    "AdaptivePolicy": "quality.adaptive",
+    "ReprowdConfig": "config",
+    "StorageConfig": "config",
+    "PlatformConfig": "config",
+    "WorkerPoolConfig": "config",
+    "ReprowdError": "exceptions",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,13 +20,6 @@ import json
 import sys
 from typing import Sequence
 
-from repro.core.export import (
-    stored_experiment_summary,
-    stored_lineage,
-    stored_manipulations,
-    stored_tables,
-)
-from repro.core.lineage import LineageQuery
 from repro.exceptions import ReprowdError
 from repro.storage.sqlite_engine import SqliteEngine
 
@@ -37,6 +30,8 @@ def _open(db_path: str) -> SqliteEngine:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     """List the CrowdData tables stored in the database."""
+    from repro.core.export import stored_tables
+
     with _open(args.database) as engine:
         tables = stored_tables(engine)
     if not tables:
@@ -49,6 +44,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def cmd_describe(args: argparse.Namespace) -> int:
     """Print a summary of every experiment in the database."""
+    from repro.core.export import stored_experiment_summary, stored_tables
+
     with _open(args.database) as engine:
         tables = stored_tables(engine)
         summaries = [stored_experiment_summary(engine, table) for table in tables]
@@ -58,6 +55,8 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 def cmd_history(args: argparse.Namespace) -> int:
     """Print a table's manipulation history."""
+    from repro.core.export import stored_manipulations
+
     with _open(args.database) as engine:
         manipulations = stored_manipulations(engine, args.table)
     if not manipulations:
@@ -74,6 +73,9 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 def cmd_lineage(args: argparse.Namespace) -> int:
     """Print the lineage summary of a table's crowd answers."""
+    from repro.core.export import stored_lineage
+    from repro.core.lineage import LineageQuery
+
     with _open(args.database) as engine:
         records = stored_lineage(engine, args.table)
     if not records:
@@ -98,6 +100,12 @@ def cmd_lineage(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     """Export a table's cached crowd data to a JSON file."""
+    from repro.core.export import (
+        stored_experiment_summary,
+        stored_lineage,
+        stored_manipulations,
+    )
+
     with _open(args.database) as engine:
         payload = {
             "summary": stored_experiment_summary(engine, args.table),

@@ -8,25 +8,21 @@ program had never stopped: no task is ever re-published, no answer is ever
 re-collected, and every manipulation is recorded for later examination.
 """
 
-from repro.core.budget import BudgetExceededError, BudgetTracker
-from repro.core.cache import FaultRecoveryCache
-from repro.core.context import CrowdContext
-from repro.core.crowddata import CrowdData
-from repro.core.export import ExperimentExporter
-from repro.core.lineage import AnswerLineage, LineageQuery
-from repro.core.manipulations import Manipulation, ManipulationLog
-from repro.core.session import ExperimentSession
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CrowdContext",
-    "CrowdData",
-    "FaultRecoveryCache",
-    "AnswerLineage",
-    "LineageQuery",
-    "Manipulation",
-    "ManipulationLog",
-    "ExperimentSession",
-    "BudgetTracker",
-    "BudgetExceededError",
-    "ExperimentExporter",
-]
+_EXPORTS = {
+    "CrowdContext": "context",
+    "CrowdData": "crowddata",
+    "FaultRecoveryCache": "cache",
+    "AnswerLineage": "lineage",
+    "LineageQuery": "lineage",
+    "Manipulation": "manipulations",
+    "ManipulationLog": "manipulations",
+    "ExperimentSession": "session",
+    "BudgetTracker": "budget",
+    "BudgetExceededError": "budget",
+    "ExperimentExporter": "export",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

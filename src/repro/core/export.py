@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.core.crowddata import CrowdData
 from repro.core.lineage import AnswerLineage
 from repro.core.manipulations import Manipulation
 from repro.exceptions import CrowdDataError
 from repro.storage.engine import StorageEngine
+
+if TYPE_CHECKING:  # annotation only: the engine-level readers below need no CrowdData
+    from repro.core.crowddata import CrowdData
 
 
 class ExperimentExporter:

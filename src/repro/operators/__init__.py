@@ -9,44 +9,35 @@ Wang et al. 2013) plus sort, max, top-k, count, filter and dedup — all of
 which publish their tasks exclusively through CrowdData.
 """
 
-from repro.operators.base import OperatorReport
-from repro.operators.blocking import SimilarityBlocker, all_pairs, blocked_pairs
-from repro.operators.join import CrowdJoin, JoinResult
-from repro.operators.transitive_join import TransitiveCrowdJoin
-from repro.operators.baselines import AllPairsCrowdJoin, MachineOnlyJoin
-from repro.operators.sort import CrowdSort, SortResult
-from repro.operators.max_op import CrowdMax, MaxResult
-from repro.operators.topk import CrowdTopK, TopKResult
-from repro.operators.count import CrowdCount, CountResult
-from repro.operators.filter_op import CrowdFilter, FilterResult
-from repro.operators.dedup import CrowdDedup, DedupResult
-from repro.operators.labeling import CrowdLabel, LabelResult
-from repro.operators.groupby import CrowdGroupBy, GroupByResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CrowdLabel",
-    "LabelResult",
-    "CrowdGroupBy",
-    "GroupByResult",
-    "OperatorReport",
-    "SimilarityBlocker",
-    "all_pairs",
-    "blocked_pairs",
-    "CrowdJoin",
-    "JoinResult",
-    "TransitiveCrowdJoin",
-    "AllPairsCrowdJoin",
-    "MachineOnlyJoin",
-    "CrowdSort",
-    "SortResult",
-    "CrowdMax",
-    "MaxResult",
-    "CrowdTopK",
-    "TopKResult",
-    "CrowdCount",
-    "CountResult",
-    "CrowdFilter",
-    "FilterResult",
-    "CrowdDedup",
-    "DedupResult",
-]
+_EXPORTS = {
+    "CrowdLabel": "labeling",
+    "LabelResult": "labeling",
+    "CrowdGroupBy": "groupby",
+    "GroupByResult": "groupby",
+    "OperatorReport": "base",
+    "SimilarityBlocker": "blocking",
+    "all_pairs": "blocking",
+    "blocked_pairs": "blocking",
+    "CrowdJoin": "join",
+    "JoinResult": "join",
+    "TransitiveCrowdJoin": "transitive_join",
+    "AllPairsCrowdJoin": "baselines",
+    "MachineOnlyJoin": "baselines",
+    "CrowdSort": "sort",
+    "SortResult": "sort",
+    "CrowdMax": "max_op",
+    "MaxResult": "max_op",
+    "CrowdTopK": "topk",
+    "TopKResult": "topk",
+    "CrowdCount": "count",
+    "CountResult": "count",
+    "CrowdFilter": "filter_op",
+    "FilterResult": "filter_op",
+    "CrowdDedup": "dedup",
+    "DedupResult": "dedup",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

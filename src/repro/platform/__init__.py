@@ -9,63 +9,36 @@ that publishes tasks and polls for results.  Worker answers come from a
 sits between client and server to exercise retry/idempotence paths.
 """
 
-from repro.platform.assignment import (
-    AssignmentStrategy,
-    LeastLoadedAssignment,
-    RandomAssignment,
-    RoundRobinAssignment,
-)
-from repro.platform.client import PipelinedClient, PlatformClient
-from repro.platform.models import Project, Task, TaskRun
-from repro.platform.server import PlatformServer
-from repro.platform.store import (
-    DurableTaskStore,
-    MemoryTaskStore,
-    TaskStore,
-    open_task_store,
-)
-from repro.platform.transport import (
-    AsyncTransport,
-    CountingTransport,
-    DirectTransport,
-    FaultInjectingTransport,
-    LatencyInjectingTransport,
-    Transport,
-)
-from repro.platform.wire import (
-    RemoteServer,
-    WireClient,
-    WireServer,
-    WireServerHandle,
-    WireTransport,
-    spawn_server,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssignmentStrategy",
-    "RandomAssignment",
-    "RoundRobinAssignment",
-    "LeastLoadedAssignment",
-    "PlatformClient",
-    "PipelinedClient",
-    "Project",
-    "Task",
-    "TaskRun",
-    "PlatformServer",
-    "TaskStore",
-    "MemoryTaskStore",
-    "DurableTaskStore",
-    "open_task_store",
-    "Transport",
-    "DirectTransport",
-    "CountingTransport",
-    "FaultInjectingTransport",
-    "LatencyInjectingTransport",
-    "AsyncTransport",
-    "WireTransport",
-    "WireClient",
-    "WireServer",
-    "WireServerHandle",
-    "RemoteServer",
-    "spawn_server",
-]
+_EXPORTS = {
+    "AssignmentStrategy": "assignment",
+    "RandomAssignment": "assignment",
+    "RoundRobinAssignment": "assignment",
+    "LeastLoadedAssignment": "assignment",
+    "PlatformClient": "client",
+    "PipelinedClient": "client",
+    "Project": "models",
+    "Task": "models",
+    "TaskRun": "models",
+    "PlatformServer": "server",
+    "TaskStore": "store",
+    "MemoryTaskStore": "store",
+    "DurableTaskStore": "store",
+    "open_task_store": "store",
+    "Transport": "transport",
+    "DirectTransport": "transport",
+    "CountingTransport": "transport",
+    "FaultInjectingTransport": "transport",
+    "LatencyInjectingTransport": "transport",
+    "AsyncTransport": "transport",
+    "WireTransport": "wire",
+    "WireClient": "wire",
+    "WireServer": "wire",
+    "WireServerHandle": "wire",
+    "RemoteServer": "wire",
+    "spawn_server": "wire",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -782,18 +782,22 @@ def spawn_server(
             server processes (disables its single-writer caches).
         namespace: Durable store table-name prefix.
         port_file: Where the server publishes its bound port; a throwaway
-            sibling of *db* (or of a temp dir) when omitted.
+            sibling of *db* (or of a temp dir) when omitted.  Removed once
+            the port was read, with the temp dir if one was made.
         timeout: Seconds to wait for the server to come up.
 
     Returns:
         A :class:`WireServerHandle`; the caller owns the process.
     """
+    own_dir = None
     if port_file is None:
         import tempfile
 
-        base = os.path.dirname(os.path.abspath(db)) if db else tempfile.mkdtemp()
+        if db is None:
+            own_dir = tempfile.mkdtemp()
         port_file = os.path.join(
-            base, f".wire-port-{os.getpid()}-{id(object()):x}.txt"
+            own_dir or os.path.dirname(os.path.abspath(db)),
+            f".wire-port-{os.getpid()}-{id(object()):x}.txt",
         )
     if os.path.exists(port_file):
         os.unlink(port_file)
@@ -829,7 +833,24 @@ def spawn_server(
         stderr=subprocess.PIPE,
         text=True,
     )
+    try:
+        return WireServerHandle(process, host, _await_port(process, port_file, timeout))
+    finally:
+        # The handshake is over either way: leave nothing behind.
+        try:
+            os.unlink(port_file)
+        except OSError:
+            pass
+        if own_dir is not None:
+            import shutil
+
+            shutil.rmtree(own_dir, ignore_errors=True)
+
+
+def _await_port(process: subprocess.Popen, port_file: str, timeout: float) -> int:
+    """Poll *port_file* (1 ms doubling to 20 ms) until the server publishes its port."""
     deadline = time.monotonic() + timeout
+    pause = 0.001
     while time.monotonic() < deadline:
         if process.poll() is not None:
             stderr = process.stderr.read() if process.stderr else ""
@@ -838,13 +859,13 @@ def spawn_server(
                 f"(code {process.returncode}): {stderr.strip()[-500:]}"
             )
         try:
+            # The server renames a complete file into place: present means whole.
             with open(port_file, "r", encoding="utf-8") as handle:
-                text = handle.read().strip()
-            if text:
-                return WireServerHandle(process, host, int(text))
+                return int(handle.read())
         except (OSError, ValueError):
             pass
-        time.sleep(0.02)
+        time.sleep(pause)
+        pause = min(pause * 2, 0.02)
     process.kill()
     raise PlatformUnavailableError(
         f"wire server did not publish a port within {timeout} seconds"
@@ -928,8 +949,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         platform, host=args.host, port=args.port, max_frame_bytes=args.max_frame_bytes
     )
     if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as handle:
+        # Written beside, then renamed: a reader sees no file or the whole port.
+        staging = args.port_file + ".tmp"
+        with open(staging, "w", encoding="utf-8") as handle:
             handle.write(f"{server.port}\n")
+        os.replace(staging, args.port_file)
     print(f"wire server listening on {server.host}:{server.port}", flush=True)
     try:
         server.serve_forever()

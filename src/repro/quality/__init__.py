@@ -15,44 +15,34 @@ answer) pairs per item — so CrowdData can expose them uniformly as ``mv()``,
 ``wmv()`` and ``em()`` verbs.
 """
 
-from repro.quality.adaptive import AdaptiveCollectionStats, AdaptivePolicy
-from repro.quality.aggregation import Aggregator, AggregationResult, get_aggregator, register_aggregator
-from repro.quality.majority_vote import MajorityVoteAggregator, majority_vote
-from repro.quality.weighted_vote import WeightedVoteAggregator, weighted_vote
-from repro.quality.em import DawidSkeneAggregator, dawid_skene
-from repro.quality.glad import OneParameterEMAggregator, one_parameter_em
-from repro.quality.spammer import spammer_score, detect_spammers
-from repro.quality.confidence import answer_entropy, vote_confidence
-from repro.quality.gold import GoldReport, GoldStandard, inject_gold
-from repro.quality.incremental import (
-    IncrementalAggregator,
-    IncrementalMajorityVote,
-    OnlineDawidSkene,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptivePolicy",
-    "AdaptiveCollectionStats",
-    "GoldStandard",
-    "GoldReport",
-    "inject_gold",
-    "Aggregator",
-    "AggregationResult",
-    "get_aggregator",
-    "register_aggregator",
-    "IncrementalAggregator",
-    "IncrementalMajorityVote",
-    "OnlineDawidSkene",
-    "MajorityVoteAggregator",
-    "majority_vote",
-    "WeightedVoteAggregator",
-    "weighted_vote",
-    "DawidSkeneAggregator",
-    "dawid_skene",
-    "OneParameterEMAggregator",
-    "one_parameter_em",
-    "spammer_score",
-    "detect_spammers",
-    "answer_entropy",
-    "vote_confidence",
-]
+_EXPORTS = {
+    "AdaptivePolicy": "adaptive",
+    "AdaptiveCollectionStats": "adaptive",
+    "GoldStandard": "gold",
+    "GoldReport": "gold",
+    "inject_gold": "gold",
+    "Aggregator": "aggregation",
+    "AggregationResult": "aggregation",
+    "get_aggregator": "aggregation",
+    "register_aggregator": "aggregation",
+    "IncrementalAggregator": "incremental",
+    "IncrementalMajorityVote": "incremental",
+    "OnlineDawidSkene": "incremental",
+    "MajorityVoteAggregator": "majority_vote",
+    "majority_vote": "majority_vote",
+    "WeightedVoteAggregator": "weighted_vote",
+    "weighted_vote": "weighted_vote",
+    "DawidSkeneAggregator": "em",
+    "dawid_skene": "em",
+    "OneParameterEMAggregator": "glad",
+    "one_parameter_em": "glad",
+    "spammer_score": "spammer",
+    "detect_spammers": "spammer",
+    "answer_entropy": "confidence",
+    "vote_confidence": "confidence",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

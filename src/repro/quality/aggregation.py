@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from repro.exceptions import InsufficientAnswersError, QualityControlError
@@ -82,6 +83,14 @@ class Aggregator(abc.ABC):
                 raise InsufficientAnswersError(f"item {item_id!r} has no answers")
 
 
+#: Built-in aggregators by name: ``(module, class)``, imported on first use so
+#: that nobody has to have imported ``em``/``glad`` (and numpy) for the name to work.
+_BUILTIN = {
+    "mv": ("repro.quality.majority_vote", "MajorityVoteAggregator"),
+    "wmv": ("repro.quality.weighted_vote", "WeightedVoteAggregator"),
+    "em": ("repro.quality.em", "DawidSkeneAggregator"),
+    "glad": ("repro.quality.glad", "OneParameterEMAggregator"),
+}
 _AGGREGATORS: dict[str, Callable[[], Aggregator]] = {}
 
 
@@ -91,20 +100,22 @@ def register_aggregator(name: str, factory: Callable[[], Aggregator]) -> None:
 
 
 def get_aggregator(name: str, **kwargs: Any) -> Aggregator:
-    """Instantiate the aggregator registered under *name*.
+    """Instantiate the aggregator built in or registered under *name*.
 
     Keyword arguments are forwarded to the aggregator constructor when the
     factory accepts them (factories are classes in practice).
     """
-    try:
-        factory = _AGGREGATORS[name]
-    except KeyError:
+    factory = _AGGREGATORS.get(name)
+    if factory is None and name in _BUILTIN:
+        module, attribute = _BUILTIN[name]
+        factory = getattr(import_module(module), attribute)
+    if factory is None:
         raise QualityControlError(
-            f"unknown aggregator {name!r}; known: {sorted(_AGGREGATORS)}"
-        ) from None
+            f"unknown aggregator {name!r}; known: {known_aggregators()}"
+        )
     return factory(**kwargs) if kwargs else factory()
 
 
 def known_aggregators() -> list[str]:
-    """Return the names of all registered aggregators, sorted."""
-    return sorted(_AGGREGATORS)
+    """Return the names of all built-in and registered aggregators, sorted."""
+    return sorted(_BUILTIN.keys() | _AGGREGATORS.keys())

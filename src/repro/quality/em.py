@@ -18,7 +18,6 @@ from repro.quality.aggregation import (
     AggregationResult,
     Aggregator,
     VoteTable,
-    register_aggregator,
 )
 
 
@@ -170,6 +169,3 @@ def dawid_skene(
     """Convenience wrapper returning only the per-item decisions."""
     aggregator = DawidSkeneAggregator(max_iterations=max_iterations, tolerance=tolerance)
     return aggregator.aggregate(votes).decisions
-
-
-register_aggregator("em", DawidSkeneAggregator)

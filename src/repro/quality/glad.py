@@ -18,7 +18,6 @@ from repro.quality.aggregation import (
     AggregationResult,
     Aggregator,
     VoteTable,
-    register_aggregator,
 )
 
 
@@ -135,6 +134,3 @@ class OneParameterEMAggregator(Aggregator):
 def one_parameter_em(votes: VoteTable, max_iterations: int = 50) -> dict[Hashable, Any]:
     """Convenience wrapper returning only the per-item decisions."""
     return OneParameterEMAggregator(max_iterations=max_iterations).aggregate(votes).decisions
-
-
-register_aggregator("glad", OneParameterEMAggregator)

@@ -30,8 +30,6 @@ import abc
 from collections import Counter
 from typing import Any, Hashable, Mapping, Optional
 
-import numpy as np
-
 from repro.exceptions import QualityControlError
 from repro.quality.aggregation import AggregationResult, Votes
 
@@ -188,6 +186,11 @@ class OnlineDawidSkene(IncrementalAggregator):
         tolerance: float = 1e-6,
         max_iterations: int = 50,
     ):
+        # Bound here, not at module top: IncrementalMajorityVote (CrowdData's
+        # default tracker) lives in this module and must not cost a numpy import.
+        global np
+        import numpy as np
+
         if not 0.0 < damping <= 1.0:
             raise ValueError(f"damping must be in (0, 1], got {damping}")
         if smoothing < 0:

@@ -10,7 +10,6 @@ from repro.quality.aggregation import (
     Aggregator,
     VoteTable,
     Votes,
-    register_aggregator,
 )
 
 
@@ -61,6 +60,3 @@ class MajorityVoteAggregator(Aggregator):
 def majority_vote(votes: VoteTable, tie_break: str = "lexicographic") -> dict[Hashable, Any]:
     """Convenience wrapper returning only the per-item decisions."""
     return MajorityVoteAggregator(tie_break=tie_break).aggregate(votes).decisions
-
-
-register_aggregator("mv", MajorityVoteAggregator)

@@ -16,7 +16,6 @@ from repro.quality.aggregation import (
     AggregationResult,
     Aggregator,
     VoteTable,
-    register_aggregator,
 )
 
 #: Accuracies are clamped into this open interval before the log-odds
@@ -92,6 +91,3 @@ def weighted_vote(
         worker_accuracy=worker_accuracy, default_accuracy=default_accuracy
     )
     return aggregator.aggregate(votes).decisions
-
-
-register_aggregator("wmv", WeightedVoteAggregator)

@@ -19,42 +19,30 @@ interface with three implementations:
   whose ring ownership changed.
 """
 
-from repro.storage.engine import StorageEngine, open_engine
-from repro.storage.memory_engine import MemoryEngine
-from repro.storage.sqlite_engine import SqliteEngine
-from repro.storage.log_engine import LogStructuredEngine
-from repro.storage.sharded_engine import PartitionedEngine, ShardedEngine, shard_index
-from repro.storage.ring import ConsistentHashEngine, DegradedRingWarning, HashRing
-from repro.storage.records import (
-    CODECS,
-    BinaryCodec,
-    Codec,
-    JsonCodec,
-    Record,
-    RecordCodec,
-    resolve_codec,
-)
-from repro.storage.schema import ColumnSpec, TableSchema
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StorageEngine",
-    "open_engine",
-    "MemoryEngine",
-    "SqliteEngine",
-    "LogStructuredEngine",
-    "PartitionedEngine",
-    "ShardedEngine",
-    "ConsistentHashEngine",
-    "DegradedRingWarning",
-    "HashRing",
-    "shard_index",
-    "Record",
-    "RecordCodec",
-    "Codec",
-    "JsonCodec",
-    "BinaryCodec",
-    "CODECS",
-    "resolve_codec",
-    "ColumnSpec",
-    "TableSchema",
-]
+_EXPORTS = {
+    "StorageEngine": "engine",
+    "open_engine": "engine",
+    "MemoryEngine": "memory_engine",
+    "SqliteEngine": "sqlite_engine",
+    "LogStructuredEngine": "log_engine",
+    "PartitionedEngine": "sharded_engine",
+    "ShardedEngine": "sharded_engine",
+    "ConsistentHashEngine": "ring",
+    "DegradedRingWarning": "ring",
+    "HashRing": "ring",
+    "shard_index": "sharded_engine",
+    "Record": "records",
+    "RecordCodec": "records",
+    "Codec": "records",
+    "JsonCodec": "records",
+    "BinaryCodec": "records",
+    "CODECS": "records",
+    "resolve_codec": "records",
+    "ColumnSpec": "schema",
+    "TableSchema": "schema",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -325,19 +325,22 @@ def _open_child_engine(config: StorageConfig, name: str) -> StorageEngine:
     Raises:
         ConfigurationError: If ``config.shard_engine`` is unknown.
     """
-    from repro.storage.log_engine import LogStructuredEngine
-    from repro.storage.memory_engine import MemoryEngine
-    from repro.storage.sqlite_engine import SqliteEngine
-
+    # Each branch imports the one engine module it builds (they import this one).
     if config.shard_engine == "memory":
+        from repro.storage.memory_engine import MemoryEngine
+
         return MemoryEngine(codec=config.codec)
     if config.shard_engine == "sqlite":
+        from repro.storage.sqlite_engine import SqliteEngine
+
         return SqliteEngine(
             os.path.join(config.path, f"{name}.db"),
             synchronous=config.synchronous,
             codec=config.codec,
         )
     if config.shard_engine == "log":
+        from repro.storage.log_engine import LogStructuredEngine
+
         return LogStructuredEngine(
             os.path.join(config.path, name),
             snapshot_every=config.snapshot_every,
@@ -379,20 +382,21 @@ def open_engine(config: StorageConfig) -> StorageEngine:
     Raises:
         ConfigurationError: If ``config.engine`` names an unknown engine.
     """
-    # Imported here to avoid circular imports between engine modules.
-    from repro.storage.log_engine import LogStructuredEngine
-    from repro.storage.memory_engine import MemoryEngine
-    from repro.storage.ring import ConsistentHashEngine
-    from repro.storage.sharded_engine import ShardedEngine
-    from repro.storage.sqlite_engine import SqliteEngine
-
+    # Each branch imports the one engine module it builds: they import this
+    # module (so not at top), and a memory or sqlite program never loads the ring.
     if config.engine == "memory":
+        from repro.storage.memory_engine import MemoryEngine
+
         return MemoryEngine(codec=config.codec)
     if config.engine == "sqlite":
+        from repro.storage.sqlite_engine import SqliteEngine
+
         return SqliteEngine(
             config.path, synchronous=config.synchronous, codec=config.codec
         )
     if config.engine == "log":
+        from repro.storage.log_engine import LogStructuredEngine
+
         return LogStructuredEngine(
             config.path, snapshot_every=config.snapshot_every, codec=config.codec
         )
@@ -410,10 +414,14 @@ def open_engine(config: StorageConfig) -> StorageEngine:
             for name in names:
                 children.append((name, _open_child_engine(config, name)))
             if config.engine == "sharded":
+                from repro.storage.sharded_engine import ShardedEngine
+
                 return ShardedEngine(
                     [child for _, child in children],
                     shard_workers=config.shard_workers,
                 )
+            from repro.storage.ring import ConsistentHashEngine
+
             return ConsistentHashEngine(
                 dict(children),
                 virtual_nodes=config.virtual_nodes,

@@ -1,43 +1,27 @@
 """Utility helpers shared by every repro sub-system."""
 
-from repro.utils.hashing import stable_hash, stable_json
-from repro.utils.text import (
-    cosine_similarity,
-    edit_distance,
-    edit_similarity,
-    jaccard_similarity,
-    ngrams,
-    normalize_text,
-    overlap_coefficient,
-    token_vector,
-    tokenize,
-)
-from repro.utils.timing import Stopwatch, SimulatedClock
-from repro.utils.validation import (
-    require_fraction,
-    require_in,
-    require_non_empty,
-    require_positive,
-    require_type,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "stable_hash",
-    "stable_json",
-    "cosine_similarity",
-    "edit_distance",
-    "edit_similarity",
-    "jaccard_similarity",
-    "ngrams",
-    "normalize_text",
-    "overlap_coefficient",
-    "token_vector",
-    "tokenize",
-    "Stopwatch",
-    "SimulatedClock",
-    "require_fraction",
-    "require_in",
-    "require_non_empty",
-    "require_positive",
-    "require_type",
-]
+_EXPORTS = {
+    "stable_hash": "hashing",
+    "stable_json": "hashing",
+    "cosine_similarity": "text",
+    "edit_distance": "text",
+    "edit_similarity": "text",
+    "jaccard_similarity": "text",
+    "ngrams": "text",
+    "normalize_text": "text",
+    "overlap_coefficient": "text",
+    "token_vector": "text",
+    "tokenize": "text",
+    "Stopwatch": "timing",
+    "SimulatedClock": "timing",
+    "require_fraction": "validation",
+    "require_in": "validation",
+    "require_non_empty": "validation",
+    "require_positive": "validation",
+    "require_type": "validation",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,37 +6,24 @@ experiments are runnable offline and quality-control / join benchmarks can
 sweep worker reliability, which is impossible with real crowds.
 """
 
-from repro.workers.behavior import (
-    AdversarialWorker,
-    ConfusionMatrixWorker,
-    NoisyWorker,
-    ReliableWorker,
-    SpammerWorker,
-    WorkerBehavior,
-)
-from repro.workers.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    PerTypeLatency,
-    UniformLatency,
-)
-from repro.workers.pool import SimulatedWorker, WorkerPool
-from repro.workers.skills import SkillProfile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WorkerBehavior",
-    "ReliableWorker",
-    "NoisyWorker",
-    "SpammerWorker",
-    "AdversarialWorker",
-    "ConfusionMatrixWorker",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "PerTypeLatency",
-    "SimulatedWorker",
-    "WorkerPool",
-    "SkillProfile",
-]
+_EXPORTS = {
+    "WorkerBehavior": "behavior",
+    "ReliableWorker": "behavior",
+    "NoisyWorker": "behavior",
+    "SpammerWorker": "behavior",
+    "AdversarialWorker": "behavior",
+    "ConfusionMatrixWorker": "behavior",
+    "LatencyModel": "latency",
+    "ConstantLatency": "latency",
+    "UniformLatency": "latency",
+    "LogNormalLatency": "latency",
+    "PerTypeLatency": "latency",
+    "SimulatedWorker": "pool",
+    "WorkerPool": "pool",
+    "SkillProfile": "skills",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

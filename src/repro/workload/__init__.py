@@ -8,62 +8,34 @@ stack by :class:`ScenarioRunner`, with byte-identical replay from a seed.
 See ``docs/workloads.md``.
 """
 
-from repro.workload.arrivals import (
-    Arrival,
-    ArrivalProcess,
-    BurstyProcess,
-    DiurnalProcess,
-    PoissonProcess,
-    build_arrival_process,
-)
-from repro.workload.keys import ZipfKeyGenerator
-from repro.workload.marketplace import (
-    DEFAULT_TASK_TYPES,
-    MarketplacePresenter,
-    MarketplaceWorkerPool,
-    SpammerWave,
-    TaskType,
-    assign_task_type,
-    build_marketplace_pool,
-    make_objects,
-    marketplace_ground_truth,
-)
-from repro.workload.metrics import (
-    accuracy,
-    latency_summary,
-    percentile,
-    sla_attainment,
-)
-from repro.workload.scenario import (
-    ScenarioResult,
-    ScenarioRunner,
-    ScenarioSpec,
-    canonical_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Arrival",
-    "ArrivalProcess",
-    "PoissonProcess",
-    "BurstyProcess",
-    "DiurnalProcess",
-    "build_arrival_process",
-    "ZipfKeyGenerator",
-    "TaskType",
-    "DEFAULT_TASK_TYPES",
-    "SpammerWave",
-    "MarketplacePresenter",
-    "MarketplaceWorkerPool",
-    "assign_task_type",
-    "build_marketplace_pool",
-    "make_objects",
-    "marketplace_ground_truth",
-    "percentile",
-    "latency_summary",
-    "sla_attainment",
-    "accuracy",
-    "ScenarioSpec",
-    "ScenarioRunner",
-    "ScenarioResult",
-    "canonical_json",
-]
+_EXPORTS = {
+    "Arrival": "arrivals",
+    "ArrivalProcess": "arrivals",
+    "PoissonProcess": "arrivals",
+    "BurstyProcess": "arrivals",
+    "DiurnalProcess": "arrivals",
+    "build_arrival_process": "arrivals",
+    "ZipfKeyGenerator": "keys",
+    "TaskType": "marketplace",
+    "DEFAULT_TASK_TYPES": "marketplace",
+    "SpammerWave": "marketplace",
+    "MarketplacePresenter": "marketplace",
+    "MarketplaceWorkerPool": "marketplace",
+    "assign_task_type": "marketplace",
+    "build_marketplace_pool": "marketplace",
+    "make_objects": "marketplace",
+    "marketplace_ground_truth": "marketplace",
+    "percentile": "metrics",
+    "latency_summary": "metrics",
+    "sla_attainment": "metrics",
+    "accuracy": "metrics",
+    "ScenarioSpec": "scenario",
+    "ScenarioRunner": "scenario",
+    "ScenarioResult": "scenario",
+    "canonical_json": "scenario",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

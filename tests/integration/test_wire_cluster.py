@@ -9,7 +9,9 @@ atomics in-process; this suite is the acceptance gate of PR 6's tentpole —
 * SIGKILL mid-experiment maps to ``PlatformUnavailableError`` and a fresh
   server on the same durable store resumes exactly-once;
 * two servers sharing one durable store stay exactly-once while N client
-  *processes* publish the same dedup keys concurrently.
+  *processes* publish the same dedup keys concurrently;
+* the spawn handshake: the entry point runs ``wire.py`` once, the port file
+  is published whole and nothing of it outlives the handshake.
 
 Run just this suite with ``make test-wire`` (marker: ``wire``).
 """
@@ -19,6 +21,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
@@ -26,7 +31,7 @@ from repro.config import PlatformConfig
 from repro.exceptions import PlatformUnavailableError
 from repro.platform.client import PlatformClient
 from repro.platform.server import PlatformServer
-from repro.platform.wire import WireClient, spawn_server
+from repro.platform.wire import WireClient, _python_env, spawn_server
 from repro.workers.pool import WorkerPool
 
 pytestmark = pytest.mark.wire
@@ -119,6 +124,77 @@ class TestSpawnedServer:
                 assert len(client.list_tasks(project.project_id)) == len(specs)
             finally:
                 client.close()
+
+
+class TestSpawnHandshake:
+    def test_entry_point_executes_the_module_once(self):
+        # An eager package __init__ imported repro.platform.wire before -m ran
+        # it again as __main__ (RuntimeWarning, two copies of WireServer).
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.platform.wire", "--help"],
+            env=_python_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--port-file" in done.stdout
+
+    def test_memory_server_leaves_no_temp_directory_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        handle = spawn_server(seed=SEED, pool_size=POOL_SIZE, accuracy=ACCURACY)
+        try:
+            # The handshake is over once spawn_server returns: already clean.
+            assert os.listdir(tmp_path) == []
+            client = WireClient(handle.host, handle.port)
+            assert client.create_project("clean").name == "clean"
+            client.close()
+        finally:
+            handle.stop()
+        assert os.listdir(tmp_path) == []
+
+    def test_durable_server_leaves_only_its_database_beside_it(self, tmp_path):
+        db = str(tmp_path / "cluster.db")
+        with spawn_server(db=db, seed=SEED, pool_size=POOL_SIZE, accuracy=ACCURACY):
+            pass
+        assert [name for name in os.listdir(tmp_path) if "wire-port" in name] == []
+
+    def test_stale_port_file_is_ignored_and_removed(self, tmp_path):
+        port_file = tmp_path / "port.txt"
+        port_file.write_text("1\n")  # a dead server's port: must never be dialled
+        handle = spawn_server(
+            seed=SEED, pool_size=POOL_SIZE, accuracy=ACCURACY, port_file=str(port_file)
+        )
+        with handle:
+            assert handle.port != 1
+            client = WireClient(handle.host, handle.port)
+            assert client.create_project("fresh").name == "fresh"
+            client.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_startup_cleans_up_too(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(PlatformUnavailableError, match="exited during startup"):
+            spawn_server(accuracy=7.0)  # rejected by the worker pool
+        assert os.listdir(tmp_path) == []
+
+    def test_server_publishes_the_port_file_whole(self, tmp_path):
+        # Written beside and renamed into place: whenever the file exists it
+        # holds the complete port, and no staging file survives.
+        port_file = tmp_path / "port.txt"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.platform.wire", "--port-file", str(port_file)],
+            env=_python_env(),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = process.stdout.readline()  # printed after the file is published
+            assert os.listdir(tmp_path) == ["port.txt"]
+            assert banner.strip().endswith(f":{int(port_file.read_text())}")
+        finally:
+            process.kill()
+            process.wait(timeout=10)
+            process.stdout.close()
 
 
 # -- N-process contention ----------------------------------------------------
