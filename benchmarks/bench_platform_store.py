@@ -15,9 +15,11 @@ pass, one streaming collection — against four backends:
 Contents are asserted identical across backends (same task count, same
 per-task answer count), so the rows compare equal work.  What the table
 makes measurable is the price of a restartable platform: publish stays
-batched (O(1) engine round-trips) and ``simulate_work`` pays four durable
+batched (O(1) engine round-trips) and ``simulate_work`` pays four engine
 writes per 500-task page (one id reservation, its counter hint, one bulk
-run append, one bulk completion stamp).
+run append, one bulk completion stamp) — one barrier per page on sqlite,
+where the wave's write group makes them one transaction, four on the
+sharded engine, whose every batch is durable on return.
 
 Run ``pytest benchmarks/bench_platform_store.py -q --bench-scale=smoke`` for
 a seconds-long sanity pass at toy scale.

@@ -30,8 +30,9 @@ class StorageConfig:
             For ``"sharded"`` and ``"ring"`` this is a *directory*; each
             child lives in its own file underneath it (``shard-00.db`` /
             ``ring-00.db``, ...).
-        synchronous: When True the SQLite engine commits after every write,
-            matching the durability the paper relies on for crash-and-rerun.
+        synchronous: When True the SQLite engine commits when the write, or
+            the write group it belongs to, ends — the durability the paper
+            relies on for crash-and-rerun.
         snapshot_every: For the log-structured engine, how many log records
             are written between snapshots.
         shards: For the sharded and ring engines, how many child engines

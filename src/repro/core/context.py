@@ -40,7 +40,6 @@ class CrowdContext:
         transport: Transport | None = None,
         ground_truth: Callable[[Any], Any] | None = None,
         budget: BudgetTracker | None = None,
-        log_buffer_size: int = 1,
     ):
         """Create a context.
 
@@ -58,9 +57,6 @@ class CrowdContext:
                 every CrowdData created by this context.
             budget: Optional crowd-spend tracker shared by every CrowdData of
                 this context.
-            log_buffer_size: Manipulation-log entries buffered per durable
-                append (see :class:`~repro.core.manipulations.ManipulationLog`);
-                1 keeps every verb's entry written through immediately.
         """
         self.config = config or ReprowdConfig.in_memory()
         self.clock = SimulatedClock()
@@ -119,7 +115,6 @@ class CrowdContext:
                     "expected 'direct', 'pipelined' or 'wire'"
                 )
 
-        self._log_buffer_size = log_buffer_size
         self._tables: dict[str, CrowdData] = {}
         self.engine.create_table("__tables__")
 
@@ -217,7 +212,7 @@ class CrowdContext:
         if not table_name or not isinstance(table_name, str):
             raise CrowdDataError(f"table_name must be a non-empty string, got {table_name!r}")
         cache = FaultRecoveryCache(self.engine, table_name)
-        log = ManipulationLog(self.engine, table_name, buffer_size=self._log_buffer_size)
+        log = ManipulationLog(self.engine, table_name)
         crowddata = CrowdData(
             table_name=table_name,
             objects=list(object_list),
@@ -274,17 +269,13 @@ class CrowdContext:
     # -- lifecycle -------------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Flush buffered logs, the storage engine and the server's task store."""
-        for table in self._tables.values():
-            table.log.flush()
+        """Flush the storage engine and the server's task store."""
         if self._owns_server:
             self.server.flush()
         self.engine.flush()
 
     def close(self) -> None:
         """Flush and close the storage engine (and the server's own store)."""
-        for table in self._tables.values():
-            table.log.flush()
         if self._owns_server:
             # Client first: closing the transport drains any in-flight
             # async calls (e.g. pages of an abandoned streaming

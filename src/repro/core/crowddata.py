@@ -30,7 +30,13 @@ contract is unchanged:
   the existing tasks instead of duplicating them;
 * cache batch writes use ``put_new`` semantics per key
   (``put_many(..., if_absent=True)``): a crash mid-batch leaves a durable
-  prefix that the rerun never overwrites or version-bumps.
+  prefix that the rerun never overwrites or version-bumps;
+* a verb's *local tail* — its last cache batch and its manipulation-log
+  record, everything after the last platform call — is one engine
+  ``write_group()``: one durability barrier, and rows and lineage land
+  together or (a killed process) not at all.  The group never spans a
+  platform call: a pipelined transport's worker threads and a server
+  sharing the file need the engine while the call is in flight.
 
 A step costs what its batch costs.  The program the paper describes is
 rerun and *extended* — extend → publish → collect, again and again on one
@@ -273,13 +279,14 @@ class CrowdData:
                 cache_hits += 1
             else:
                 pending.setdefault(keys[index], []).append(index)
+        descriptors: dict[str, dict[str, Any]] = {}
+        overflow = 0
         if pending:
             # Under a hard budget, publish only the affordable prefix: its
             # crowd work is durable (platform + cache), spend matches tasks
             # actually purchased, and the overflow raises below so a rerun
             # with more budget resumes from where this one stopped.
             publish_keys = list(pending)
-            overflow = 0
             if self.budget is not None and self.budget.budget is not None:
                 per_task = n_assignments * self.budget.price_per_assignment
                 if per_task > 0:
@@ -309,7 +316,6 @@ class CrowdData:
                         self.budget.charge(
                             n_assignments, label=f"{self.table_name}:{key}"
                         )
-                descriptors: dict[str, dict[str, Any]] = {}
                 for key, task in zip(publish_keys, tasks):
                     descriptors[key] = {
                         "task_id": task.task_id,
@@ -320,24 +326,28 @@ class CrowdData:
                         "task_type": presenter.task_type,
                         "priority": priority,
                     }
+        # The local tail — descriptors and the verb's log record — is one
+        # write group: no transport call from here on.
+        with self.cache.engine.write_group():
+            if descriptors:
                 self.cache.put_tasks(descriptors)
-                for key in publish_keys:
+                for key, descriptor in descriptors.items():
                     for index in pending[key]:
-                        self.data["task"][index] = descriptors[key]
+                        self.data["task"][index] = descriptor
             if overflow:
                 raise BudgetExceededError(
                     overflow * n_assignments * self.budget.price_per_assignment,
                     self.budget.spent,
                     self.budget.budget,
                 )
-        self.log.record(
-            "publish_task",
-            parameters={"n_assignments": n_assignments, "priority": priority},
-            columns_added=["task"],
-            rows_affected=len(self),
-            cache_hits=cache_hits,
-            timestamp=self.clock.now,
-        )
+            self.log.record(
+                "publish_task",
+                parameters={"n_assignments": n_assignments, "priority": priority},
+                columns_added=["task"],
+                rows_affected=len(self),
+                cache_hits=cache_hits,
+                timestamp=self.clock.now,
+            )
         return self
 
     def _object_keys(self) -> list[str]:
@@ -402,6 +412,7 @@ class CrowdData:
         self._require_presenter()
         cache_hits = self._load_cached_results()
         missing = self._missing_rows("get_result()")
+        last_page: dict[str, Any] = {}
         if missing:
             self._heal_stale_tasks(missing)
             if blocking:
@@ -420,16 +431,33 @@ class CrowdData:
                 # be re-fetched on the next run so late answers are picked up.
                 return result, complete
 
-            self._collect_streaming(missing, build)
-        self.log.record(
-            "get_result",
-            parameters={"blocking": blocking},
-            columns_added=["result"],
-            rows_affected=len(self),
-            cache_hits=cache_hits,
-            timestamp=self.clock.now,
+            last_page = self._collect_streaming(missing, build)
+        self._finish_collection(
+            last_page, "get_result", {"blocking": blocking}, cache_hits
         )
         return self
+
+    def _finish_collection(
+        self,
+        last_page: dict[str, Any],
+        operation: str,
+        parameters: dict[str, Any],
+        cache_hits: int,
+    ) -> None:
+        """The local tail of a collection verb — the last page of results
+        and the verb's log record — as one write group (no transport call
+        in here)."""
+        with self.cache.engine.write_group():
+            if last_page:
+                self.cache.put_results(last_page)
+            self.log.record(
+                operation,
+                parameters=parameters,
+                columns_added=["result"],
+                rows_affected=len(self),
+                cache_hits=cache_hits,
+                timestamp=self.clock.now,
+            )
 
     def _load_cached_results(self) -> int:
         """Fill unfilled rows from the cache, one page at a time.
@@ -531,14 +559,16 @@ class CrowdData:
         self,
         missing: list[int],
         build: Callable[[dict[str, Any], list], tuple[dict[str, Any], bool]],
-    ) -> None:
+    ) -> dict[str, Any]:
         """Fill *missing* rows from the platform's paged task-run stream.
 
         *build* maps ``(descriptor, runs)`` to ``(result, cache_it)``.  Rows
         are filled as their page arrives and cache-worthy results are flushed
         with one batch write per :attr:`collect_page_size` results, so peak
         resident task runs are bounded by the page size.  The stream stops as
-        soon as every missing row is resolved.
+        soon as every missing row is resolved.  The last, partial page is
+        returned unwritten: the caller writes it together with the verb's
+        log record (:meth:`_finish_collection`).
         """
         waiting: dict[int, list[int]] = {}
         for index in missing:
@@ -555,13 +585,6 @@ class CrowdData:
                 if cache_it:
                     to_cache[descriptor["object_key"]] = result
 
-        def flush() -> None:
-            # The engine materialises the page on entry, so it is handed
-            # down as is and reused once the write returns.
-            if to_cache:
-                self.cache.put_results(to_cache)
-                to_cache.clear()
-
         for task_id, runs in self._stream_after_collected(
             self.client.iter_task_runs_for_project, missing
         ):
@@ -570,14 +593,17 @@ class CrowdData:
                 continue
             fill(task_id, indexes, runs)
             if len(to_cache) >= self.collect_page_size:
-                flush()
+                # The engine materialises the page on entry, so it is handed
+                # down as is and reused once the write returns.
+                self.cache.put_results(to_cache)
+                to_cache.clear()
             if not waiting:
                 break
         # Tasks the stream did not return get an empty answer list — the
         # same default the batched map lookup used.
         for task_id, indexes in list(waiting.items()):
             fill(task_id, indexes, [])
-        flush()
+        return to_cache
 
     def get_result_adaptive(
         self,
@@ -617,6 +643,7 @@ class CrowdData:
         cache_hits = self._load_cached_results()
         missing = self._missing_rows("get_result_adaptive()")
         tracker = aggregator if aggregator is not None else IncrementalMajorityVote()
+        last_page: dict[str, Any] = {}
         if missing:
             self._heal_stale_tasks(missing)
             self._adaptive_rounds(missing, policy, tracker, stats)
@@ -649,20 +676,18 @@ class CrowdData:
                 }
                 return result, True
 
-            self._collect_streaming(missing, build)
+            last_page = self._collect_streaming(missing, build)
         self._last_adaptive_stats = stats
         self._last_adaptive_aggregator = tracker
-        self.log.record(
+        self._finish_collection(
+            last_page,
             "get_result_adaptive",
-            parameters={
+            {
                 "confidence_threshold": policy.confidence_threshold,
                 "max_assignments": policy.max_assignments,
                 **stats.to_dict(),
             },
-            columns_added=["result"],
-            rows_affected=len(self),
-            cache_hits=cache_hits,
-            timestamp=self.clock.now,
+            cache_hits,
         )
         return self
 

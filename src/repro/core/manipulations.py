@@ -74,31 +74,14 @@ class ManipulationLog:
     sequence is re-read from the durable count per batch (``count`` is O(1)
     on every engine), so several log instances over the same table — e.g. a
     table re-opened while an old handle is still alive — interleave without
-    overwriting each other's entries.
-
-    With ``buffer_size > 1`` the log coalesces single :meth:`record` calls
-    too: entries accumulate in memory and land as one ``record_many`` batch
-    when the buffer fills, on :meth:`flush`, and before any read
-    (:meth:`history`, :meth:`operations`, ``len()``) — the same
-    flush-on-read barrier the pipelined transport uses, so a reader can
-    never observe a log missing entries that were already recorded.  The
-    trade-off is single-writer only (buffered sequences are assigned
-    optimistically) and that a crash can lose the buffered tail — verbs
-    whose *data* effects survived will simply re-record their entries on
-    the rerun, so the audit trail stays complete for every surviving run.
+    overwriting each other's entries.  Every entry is written through: a
+    verb that wants its record in the same barrier as its rows opens an
+    engine ``write_group()`` around both.
     """
 
-    def __init__(self, engine: StorageEngine, table_name: str, buffer_size: int = 1):
-        if buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
+    def __init__(self, engine: StorageEngine, table_name: str):
         self.engine = engine
         self.table_name = table_name
-        self.buffer_size = buffer_size
-        self._buffer: list[Manipulation] = []
-        #: Cached durable entry count for buffered sequencing; None until
-        #: first read, invalidated whenever another writer may interleave
-        #: (record_many re-reads the engine count).
-        self._persisted_count: int | None = None
         self._log_table = f"{table_name}::manipulations"
         engine.create_table(self._log_table)
 
@@ -111,12 +94,7 @@ class ManipulationLog:
         cache_hits: int = 0,
         timestamp: float = 0.0,
     ) -> Manipulation:
-        """Append one manipulation and return it.
-
-        With a buffer configured, the entry is sequenced immediately but
-        becomes durable when the buffer flushes (full buffer, any read, or
-        :meth:`flush`).
-        """
+        """Append one manipulation and return it."""
         entry = {
             "operation": operation,
             "parameters": parameters,
@@ -125,26 +103,7 @@ class ManipulationLog:
             "cache_hits": cache_hits,
             "timestamp": timestamp,
         }
-        if self.buffer_size == 1:
-            return self.record_many([entry])[0]
-        manipulation = self._build(
-            self._durable_count() + len(self._buffer) + 1, entry
-        )
-        self._buffer.append(manipulation)
-        if len(self._buffer) >= self.buffer_size:
-            self.flush()
-        return manipulation
-
-    def _durable_count(self) -> int:
-        """The persisted entry count, read from the engine once per streak.
-
-        Buffered sequencing assumes a single writer anyway (see the class
-        docstring), so the count is cached and advanced on flush instead of
-        costing one engine round-trip per buffered record.
-        """
-        if self._persisted_count is None:
-            self._persisted_count = self.engine.count(self._log_table)
-        return self._persisted_count
+        return self.record_many([entry])[0]
 
     @staticmethod
     def _build(sequence: int, entry: dict[str, Any]) -> Manipulation:
@@ -163,23 +122,14 @@ class ManipulationLog:
 
         Each entry is a dict of :meth:`record` keyword arguments with a
         required ``"operation"``.  The whole batch becomes one engine
-        ``put_many``, so either every entry is durable or none is.  Any
-        buffered single records are flushed first so the batch lands after
-        them in sequence order.
+        ``put_many``, so either every entry is durable or none is.
         """
-        self.flush()
-        # Re-read the durable count: this is the multi-writer-safe path, so
-        # the single-writer cache must not serve it (and is refreshed).
+        # Re-read the durable count per batch: the multi-writer-safe path.
         next_sequence = self.engine.count(self._log_table) + 1
         manipulations = [
             self._build(next_sequence + offset, entry)
             for offset, entry in enumerate(entries)
         ]
-        self._persist(manipulations)
-        self._persisted_count = next_sequence - 1 + len(manipulations)
-        return manipulations
-
-    def _persist(self, manipulations: list[Manipulation]) -> None:
         if manipulations:
             self.engine.put_many(
                 self._log_table,
@@ -188,18 +138,10 @@ class ManipulationLog:
                     for manipulation in manipulations
                 ],
             )
-
-    def flush(self) -> None:
-        """Persist any buffered entries as one engine batch."""
-        if self._buffer:
-            buffered, self._buffer = self._buffer, []
-            self._persist(buffered)
-            if self._persisted_count is not None:
-                self._persisted_count += len(buffered)
+        return manipulations
 
     def history(self) -> list[Manipulation]:
         """Return every manipulation in sequence order."""
-        self.flush()
         records = sorted(self.engine.items(self._log_table), key=lambda item: item[0])
         return [Manipulation.from_dict(value) for _, value in records]
 
@@ -209,11 +151,8 @@ class ManipulationLog:
 
     def clear(self) -> None:
         """Forget the history (used by ``CrowdData.clear()``)."""
-        self._buffer = []
-        self._persisted_count = 0
         self.engine.drop_table(self._log_table)
         self.engine.create_table(self._log_table)
 
     def __len__(self) -> int:
-        self.flush()
         return self.engine.count(self._log_table)

@@ -129,17 +129,18 @@ class PlatformServer:
             # The name maps to a project whose record is gone (a deleted
             # project's stale mapping): fall through and create fresh —
             # put_project takes the dead mapping over.
-        project = Project(
-            project_id=self.store.allocate_project_id(),
-            name=name,
-            short_name=self._short_name(name),
-            description=description,
-            task_presenter=task_presenter,
-            created_at=self.clock.now,
-        )
-        # put_project arbitrates concurrent same-name creates; whoever won
-        # is the project every caller must see.
-        return self.store.put_project(project)
+        with self.store.write_group():
+            project = Project(
+                project_id=self.store.allocate_project_id(),
+                name=name,
+                short_name=self._short_name(name),
+                description=description,
+                task_presenter=task_presenter,
+                created_at=self.clock.now,
+            )
+            # put_project arbitrates concurrent same-name creates; whoever
+            # won is the project every caller must see.
+            return self.store.put_project(project)
 
     @staticmethod
     def _short_name(name: str) -> str:
@@ -164,7 +165,9 @@ class PlatformServer:
 
     def delete_project(self, project_id: int) -> None:
         """Delete a project together with its tasks and task runs."""
-        self.store.remove_project(self.get_project(project_id))
+        project = self.get_project(project_id)
+        with self.store.write_group():
+            self.store.remove_project(project)
 
     # -- tasks -----------------------------------------------------------------------
 
@@ -189,7 +192,8 @@ class PlatformServer:
                 raise PlatformError(f"task spec is missing 'info': {spec!r}")
             redundancy = self._check_redundancy(spec.get("n_assignments"))
             validated.append((spec["info"], redundancy, spec.get("dedup_key")))
-        return self._create_tasks(project_id, validated)
+        with self.store.write_group():
+            return self._create_tasks(project_id, validated)
 
     def _create_tasks(
         self, project_id: int, validated: Sequence[_ValidatedSpec]
@@ -202,7 +206,8 @@ class PlatformServer:
         remaining specs get consecutive ids from one counter reservation and
         land in the store as one ``stage_tasks`` / ``claim_dedup_keys`` /
         ``add_tasks`` sequence that writes each record once, so the durable
-        cost of a publish stays O(1) engine round-trips in the batch size.
+        cost of a publish stays O(1) engine round-trips in the batch size —
+        and, inside the caller's store write group, one durability barrier.
 
         The resolve step is only an advisory fast path: between it and the
         write, *another server process* on the same store may create the
@@ -353,7 +358,9 @@ class PlatformServer:
 
     def delete_task(self, task_id: int) -> None:
         """Delete a task and its task runs."""
-        self.store.remove_task(self.get_task(task_id))
+        task = self.get_task(task_id)
+        with self.store.write_group():
+            self.store.remove_task(task)
 
     def extend_tasks_redundancy(self, extensions: dict[int, int]) -> list[Task]:
         """Request extra assignments for a batch of tasks in one round-trip.
@@ -380,7 +387,8 @@ class PlatformServer:
         for task, extra in zip(tasks, extensions.values()):
             task.n_assignments += extra
             task.completed_at = None
-        self.store.update_tasks(tasks)
+        with self.store.write_group():
+            self.store.update_tasks(tasks)
         return tasks
 
     # -- task runs --------------------------------------------------------------------
@@ -556,11 +564,13 @@ class PlatformServer:
         answer's submission time.  *budget* caps the answers drawn (None is
         uncapped); the wave flushes whatever was drawn before the cap.
 
-        A crash can fall in three windows, each healed by a rerun's
-        idempotent top-up: after the reservation (an unused id gap, never a
-        reused id), after some or all runs landed without their completion
-        stamps (the rerun re-reads those tasks, tops up what is missing and
-        stamps the rest), or before anything was written.
+        The three writes are one store write group: on an engine that can
+        (sqlite, log) a killed process leaves all of the wave or none.  On
+        the others a crash can fall in three windows, each healed by a
+        rerun's idempotent top-up: after the reservation (an unused id gap,
+        never a reused id), after some or all runs landed without their
+        completion stamps (the rerun re-reads those tasks, tops up what is
+        missing and stamps the rest), or before anything was written.
 
         Returns the number of answers created.
         """
@@ -596,23 +606,26 @@ class PlatformServer:
                     stamps.append((task, answers[-1].submitted_at))
             if budget is not None and created >= budget:
                 break
-        if new_runs:
-            # Ids are reserved after the answers so the store can persist the
-            # advanced clock in the same counter write; the reservation still
-            # lands before the runs themselves, so a crash in between leaves
-            # an id gap, never a reused id.
-            first_run_id = self.store.allocate_run_ids(created, clock_time=self.clock.now)
-            for run_id, run in enumerate(
-                itertools.chain.from_iterable(new_runs.values()), first_run_id
-            ):
-                run.run_id = run_id
-            self.store.append_runs(new_runs)
-        if stamps:
-            # Stamped only now: a task must never read as complete before
-            # its answers are on the store.
-            for task, completed_at in stamps:
-                task.completed_at = completed_at
-            self.store.update_tasks([task for task, _ in stamps])
+        with self.store.write_group():
+            if new_runs:
+                # Ids are reserved after the answers so the store can persist
+                # the advanced clock in the same counter write; the
+                # reservation still lands before the runs themselves, so a
+                # crash in between leaves an id gap, never a reused id.
+                first_run_id = self.store.allocate_run_ids(
+                    created, clock_time=self.clock.now
+                )
+                for run_id, run in enumerate(
+                    itertools.chain.from_iterable(new_runs.values()), first_run_id
+                ):
+                    run.run_id = run_id
+                self.store.append_runs(new_runs)
+            if stamps:
+                # Stamped only now: a task must never read as complete before
+                # its answers are on the store.
+                for task, completed_at in stamps:
+                    task.completed_at = completed_at
+                self.store.update_tasks([task for task, _ in stamps])
         return created
 
     def _draw_answers(

@@ -59,12 +59,12 @@ from __future__ import annotations
 import abc
 import bisect
 import threading
-from typing import Any, Mapping, Sequence
+from typing import Any, ContextManager, Mapping, Sequence
 
 from repro.config import PlatformConfig
 from repro.exceptions import ConfigurationError, DuplicateKeyError, PlatformError
 from repro.platform.models import Project, Task, TaskRun
-from repro.storage.engine import StorageEngine, open_engine
+from repro.storage.engine import NO_WRITE_GROUP, StorageEngine, open_engine
 
 
 def _cursor_error(start_after: int, project_id: int) -> PlatformError:
@@ -332,6 +332,14 @@ class TaskStore(abc.ABC):
 
     # -- introspection and lifecycle ---------------------------------------
 
+    def write_group(self) -> ContextManager[None]:
+        """Scope the store writes of one server verb to one durability
+        barrier — the backing engine's
+        :meth:`~repro.storage.engine.StorageEngine.write_group`, whose one
+        rule (straight-line writes of one thread, no waiting inside) the
+        caller inherits.  A no-op for a store with no barrier to share."""
+        return NO_WRITE_GROUP
+
     @abc.abstractmethod
     def counts(self) -> dict[str, int]:
         """Return ``{"projects": n, "tasks": n, "task_runs": n}``."""
@@ -541,7 +549,8 @@ class DurableTaskStore(TaskStore):
     hands over a batch (``create_tasks``, a ``simulate_work`` page's run
     appends and completion stamps), so the durable cost of the bulk
     execution path stays O(1) engine round-trips in the batch size.  Every
-    write is committed when the verb returns.
+    write is committed when the verb — or the :meth:`write_group` the server
+    opened around its verb — returns.
     """
 
     store_name = "durable"
@@ -774,7 +783,9 @@ class DurableTaskStore(TaskStore):
         if not tasks:
             return
         # A publish is four engine batches, each record written once, in
-        # crash-safe order (a crash can only fall *between* batches).
+        # crash-safe order (a crash can only fall *between* batches — and
+        # inside the server's write group not even there, where the engine
+        # makes the group one transaction).
         # Records first (stage_tasks) — alone they are unreachable, a
         # storage leak only, invisible to every page and to :meth:`counts`,
         # which reads the index; the replay re-creates under fresh ids.
@@ -1060,6 +1071,9 @@ class DurableTaskStore(TaskStore):
             ),
             "task_runs": self._count_total_runs(),
         }
+
+    def write_group(self) -> ContextManager[None]:
+        return self._engine.write_group()
 
     def describe(self) -> dict[str, Any]:
         description = super().describe()

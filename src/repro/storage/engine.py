@@ -42,19 +42,18 @@ equivalence class:
   negative ``limit`` raises ``ValueError``.  Walking pages of any size and
   concatenating them yields exactly the unpaginated scan.
 
-Group commit
+Write groups
 ------------
 
 Durable leaf engines pay one durability barrier (sqlite commit+fsync, log
-fsync) per write batch.  A caller that issues several batches to *one leaf
-engine* as a single idempotent wave — the ring's returning-member sync is
-the only one — can instead pass ``defer_commit=True`` to each
-``put_many``/``delete_many`` and then call ``commit_group()`` once.  Reads
-on the same engine observe deferred writes immediately (same
-connection/process); a crash before ``commit_group()`` may lose the whole
-uncommitted wave but never tears a batch.  Engines without a barrier
-(memory) accept and ignore the flag; partitioned engines do not take it —
-every batch they fan out is committed when the call returns.
+fsync) per write batch.  A caller whose batches are *one logical write* — a
+platform verb, the local tail of a CrowdData verb, the ring's
+returning-member sync — opens ``with engine.write_group():`` around them and
+pays one barrier when the outermost group exits (see
+:meth:`StorageEngine.write_group` for the contract and its one rule).  Reads
+on the same engine observe grouped writes immediately.  Engines without a
+multi-batch barrier (memory, the partitioned engines, the crash-stepping
+test engine) keep the no-op: every batch they write is durable on return.
 
 Record codecs
 -------------
@@ -69,12 +68,18 @@ rediscover it on reopen; opening with an explicitly different codec raises
 from __future__ import annotations
 
 import abc
+import contextlib
 import os
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, ContextManager, Iterable, Iterator, Sequence
 
 from repro.config import StorageConfig
 from repro.exceptions import ConfigurationError, UnknownCursorError
 from repro.storage.records import CODECS, Codec, Record
+
+
+#: The group of an engine (or task store) with no barrier to share: reusable
+#: and re-entrant, so one instance serves every caller.
+NO_WRITE_GROUP: ContextManager[None] = contextlib.nullcontext()
 
 
 def paginate_records(
@@ -190,8 +195,6 @@ class StorageEngine(abc.ABC):
         table_name: str,
         items: Iterable[tuple[str, Any]],
         if_absent: bool = False,
-        *,
-        defer_commit: bool = False,
     ) -> list[Record]:
         """Write a batch of (key, value) pairs; return one record per item.
 
@@ -210,14 +213,10 @@ class StorageEngine(abc.ABC):
           replays it whole or discards it), the sharded engine issues one
           child batch per shard — so a crash can leave *whole-shard*
           prefixes, which ``if_absent=True`` reruns heal.
-        * ``defer_commit=True`` skips the engine's per-batch durability
-          barrier; the caller promises a later :meth:`commit_group` (see the
-          module docstring).  Engines without a barrier ignore the flag.
 
         This base implementation is the naive row-at-a-time loop; engines
         override it with their atomic batch primitive.
         """
-        del defer_commit  # the naive loop has no batch barrier to defer
         records: list[Record] = []
         for key, value in items:
             if if_absent:
@@ -228,30 +227,40 @@ class StorageEngine(abc.ABC):
             records.append(self.put(table_name, key, value))
         return records
 
-    def delete_many(
-        self,
-        table_name: str,
-        keys: Sequence[str],
-        *,
-        defer_commit: bool = False,
-    ) -> int:
+    def delete_many(self, table_name: str, keys: Sequence[str]) -> int:
         """Delete each key in *keys*; return how many records were removed.
 
         Missing keys are skipped silently (like :meth:`delete` returning
-        False).  ``defer_commit=True`` has the same contract as in
-        :meth:`put_many`.  This base implementation loops :meth:`delete`;
-        durable engines override it with one batched barrier.
+        False).  This base implementation loops :meth:`delete`; durable
+        engines override it with one batched barrier.
         """
-        del defer_commit
         return sum(1 for key in keys if self.delete(table_name, key))
 
-    def commit_group(self) -> None:
-        """Flush one durability barrier for all writes deferred so far.
+    def write_group(self) -> ContextManager[None]:
+        """Scope the writes of one logical unit to one durability barrier.
 
-        Pairs with ``defer_commit=True`` on :meth:`put_many` /
-        :meth:`delete_many`.  A no-op on engines without a barrier and when
-        nothing was deferred.
+        ``with engine.write_group():`` around several write calls makes
+        them one transaction on engines that can (sqlite: one commit;
+        log: one write+fsync) when the **outermost** group exits — groups
+        nest, and an empty one costs no barrier.  Write order inside the
+        group is unchanged and reads on this engine see its writes at once.
+
+        * Left by an **exception**, the group still commits the prefix it
+          wrote — the state that exception leaves without a group, so
+          whatever the caller tracks in memory about those writes stays true.
+        * A **process killed** inside the group leaves none of it.
+
+        The one rule: **a group covers straight-line engine writes of one
+        thread — it never spans a transport call, a thread hand-off or a
+        wait.**  The sqlite engine holds its lock (and, from the first
+        write on, the file's write lock) until the group exits: a pipelined
+        transport's worker thread, or a wire server sharing the file, that
+        the caller then waited for would be waiting for the caller.
+
+        This base implementation is the no-op for engines whose every
+        batch is durable on return.
         """
+        return NO_WRITE_GROUP
 
     def get_many(
         self, table_name: str, keys: Sequence[str], default: Any = None

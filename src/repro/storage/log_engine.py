@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.exceptions import (
@@ -73,6 +74,8 @@ class LogStructuredEngine(StorageEngine):
         self._recovered_ops = 0
         self._pending_lines: list[str] = []
         self._pending_weight = 0
+        #: Nesting depth of the open :meth:`write_group` (0: none).
+        self._group_depth = 0
         self._closed = False
         self._recover()
         self._log_file = open(self.log_path, "a", encoding="utf-8")
@@ -183,7 +186,7 @@ class LogStructuredEngine(StorageEngine):
     def _logged_seq(self) -> int:
         return getattr(self, "_seq", 0)
 
-    def _append(self, entry: dict[str, Any], weight: int = 1, defer: bool = False) -> None:
+    def _append(self, entry: dict[str, Any], weight: int = 1) -> None:
         """Append one log entry; *weight* is its cost toward the snapshot cadence.
 
         A group append (``put_many``) is one entry and one fsync but carries
@@ -191,19 +194,29 @@ class LogStructuredEngine(StorageEngine):
         workload could write arbitrarily long log tails between snapshots
         and pay for them at recovery time.
 
-        With ``defer=True`` the serialised line is buffered in memory and the
-        write+flush+fsync barrier is postponed until :meth:`commit_group` (or
-        the next non-deferred append, which must not overtake buffered lines
-        in the file).  All buffered lines then go down in **one** ``write``
-        call — a whole deferred wave costs a single syscall and fsync.
+        Inside a :meth:`write_group` the serialised line is only buffered:
+        the outermost exit writes every buffered line in **one** ``write``
+        call — a whole group costs a single syscall and fsync.
         """
         seq = self._logged_seq() + 1
         self._seq = seq
         entry["seq"] = seq
         self._pending_lines.append(json.dumps(entry, sort_keys=True) + "\n")
         self._pending_weight += max(1, weight)
-        if not defer:
+        if not self._group_depth:
             self._flush_pending()
+
+    @contextmanager
+    def write_group(self) -> Iterator[None]:
+        """One write+fsync for every append inside (see the base contract);
+        a handle abandoned inside the group has written none of it."""
+        self._group_depth += 1
+        try:
+            yield
+        finally:
+            self._group_depth -= 1
+            if not self._group_depth:
+                self._flush_pending()
 
     def _flush_pending(self) -> None:
         """Write all buffered lines in one call, then one flush+fsync."""
@@ -321,8 +334,6 @@ class LogStructuredEngine(StorageEngine):
         table_name: str,
         items: Iterable[tuple[str, Any]],
         if_absent: bool = False,
-        *,
-        defer_commit: bool = False,
     ) -> list[Record]:
         """Batch write as one atomic group append (one fsync for the batch).
 
@@ -330,9 +341,7 @@ class LogStructuredEngine(StorageEngine):
         — never one syscall per record.  Recovery replays the group record
         whole; a crash while appending it tears the final line, which
         recovery discards — so the durable state is all of the batch or none
-        of it.  With ``defer_commit=True`` even that single write+fsync is
-        postponed to :meth:`commit_group`, so a multi-batch wave costs one
-        barrier total.
+        of it.
         """
         table = self._table(table_name)
         items = list(items)
@@ -354,31 +363,19 @@ class LogStructuredEngine(StorageEngine):
             self._append(
                 {"op": self._OP_PUT_MANY, "table": table_name, "entries": writes},
                 weight=len(writes),
-                defer=defer_commit,
             )
         return records
 
-    def delete_many(
-        self,
-        table_name: str,
-        keys: Sequence[str],
-        *,
-        defer_commit: bool = False,
-    ) -> int:
-        """Batch delete as one group append (one fsync, defer-able)."""
+    def delete_many(self, table_name: str, keys: Sequence[str]) -> int:
+        """Batch delete as one group append (one fsync)."""
         table = self._table(table_name)
         removed = [key for key in dict.fromkeys(keys) if table.pop(key, None) is not None]
         if removed:
             self._append(
                 {"op": self._OP_DELETE_MANY, "table": table_name, "keys": removed},
                 weight=len(removed),
-                defer=defer_commit,
             )
         return len(removed)
-
-    def commit_group(self) -> None:
-        """Write + fsync every line deferred with ``defer_commit=True``."""
-        self._flush_pending()
 
     def get_many(
         self, table_name: str, keys: Sequence[str], default: Any = None

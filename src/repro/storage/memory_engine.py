@@ -110,10 +110,7 @@ class MemoryEngine(StorageEngine):
         table_name: str,
         items: Iterable[tuple[str, Any]],
         if_absent: bool = False,
-        *,
-        defer_commit: bool = False,
     ) -> list[Record]:
-        del defer_commit  # no durability barrier to defer
         items = list(items)
         # Validate the whole batch before mutating anything, so a bad value
         # cannot leave a half-applied batch (matches the durable engines).

@@ -581,62 +581,60 @@ class ConsistentHashEngine(PartitionedEngine):
         for table_name in engine.list_tables():
             if table_name != RING_META_TABLE and table_name not in trusted_tables:
                 engine.drop_table(table_name)
-        for table_name in trusted_tables:
-            engine.create_table(table_name)
-            wanted: dict[str, Any] = {}
-            for peer in self._members:
-                if not peer.has_table(table_name):
-                    continue
-                cursor: str | None = None
+        # One durability barrier for the whole sync — it is idempotent, so a
+        # crash mid-sync just reruns it at the next open.
+        with engine.write_group():
+            for table_name in trusted_tables:
+                engine.create_table(table_name)
+                wanted: dict[str, Any] = {}
+                for peer in self._members:
+                    if not peer.has_table(table_name):
+                        continue
+                    cursor: str | None = None
+                    while True:
+                        page = list(
+                            peer.scan(
+                                table_name,
+                                limit=self._merge_page_size,
+                                start_after=cursor,
+                            )
+                        )
+                        for record in page:
+                            if name not in self._replica_names(record.key):
+                                continue
+                            best = wanted.get(record.key)
+                            if best is None or record.value[_VER] > best[_VER]:
+                                wanted[record.key] = record.value
+                        if len(page) < self._merge_page_size:
+                            break
+                        cursor = page[-1].key
+                stale: list[str] = []
+                current_versions: dict[str, int] = {}
+                cursor = None
                 while True:
                     page = list(
-                        peer.scan(
-                            table_name,
-                            limit=self._merge_page_size,
-                            start_after=cursor,
+                        engine.scan(
+                            table_name, limit=self._merge_page_size, start_after=cursor
                         )
                     )
                     for record in page:
-                        if name not in self._replica_names(record.key):
-                            continue
-                        best = wanted.get(record.key)
-                        if best is None or record.value[_VER] > best[_VER]:
-                            wanted[record.key] = record.value
+                        if record.key in wanted:
+                            current_versions[record.key] = record.value[_VER]
+                        else:
+                            stale.append(record.key)
                     if len(page) < self._merge_page_size:
                         break
                     cursor = page[-1].key
-            stale: list[str] = []
-            current_versions: dict[str, int] = {}
-            cursor = None
-            while True:
-                page = list(
-                    engine.scan(
-                        table_name, limit=self._merge_page_size, start_after=cursor
+                engine.delete_many(table_name, stale)
+                to_copy = [
+                    (key, envelope)
+                    for key, envelope in wanted.items()
+                    if current_versions.get(key) != envelope[_VER]
+                ]
+                for start in range(0, len(to_copy), self.rebalance_batch_size):
+                    engine.put_many(
+                        table_name, to_copy[start : start + self.rebalance_batch_size]
                     )
-                )
-                for record in page:
-                    if record.key in wanted:
-                        current_versions[record.key] = record.value[_VER]
-                    else:
-                        stale.append(record.key)
-                if len(page) < self._merge_page_size:
-                    break
-                cursor = page[-1].key
-            engine.delete_many(table_name, stale, defer_commit=True)
-            to_copy = [
-                (key, envelope)
-                for key, envelope in wanted.items()
-                if current_versions.get(key) != envelope[_VER]
-            ]
-            for start in range(0, len(to_copy), self.rebalance_batch_size):
-                engine.put_many(
-                    table_name,
-                    to_copy[start : start + self.rebalance_batch_size],
-                    defer_commit=True,
-                )
-        # One durability barrier for the whole sync — it is idempotent, so a
-        # crash mid-sync just reruns it at the next open.
-        engine.commit_group()
         # Mirror the trusted metadata verbatim — manifest, journal, down set
         # *and* index snapshots — and erase relic records the trusted members
         # no longer hold (a stale journal, or a snapshot of a dropped table).

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
+from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.exceptions import (
@@ -62,9 +63,10 @@ class SqliteEngine(StorageEngine):
 
         Args:
             path: Filesystem path of the database file, or ``":memory:"``.
-            synchronous: Commit after every write.  Matches the durability
-                the paper's crash-and-rerun semantics require; disable only
-                for throughput experiments.
+            synchronous: Commit when the write, or the write group it
+                belongs to, ends.  Matches the durability the paper's
+                crash-and-rerun semantics require; disable only for
+                throughput experiments.
             codec: Value codec (name or instance).  ``None`` adopts whatever
                 the database was written with (strict JSON on a fresh file);
                 an explicit codec that disagrees with the stored one raises
@@ -86,7 +88,8 @@ class SqliteEngine(StorageEngine):
         self._conn.executescript(_SCHEMA)
         self.codec = self._settle_codec(codec)
         self._conn.commit()
-        self._dirty = False
+        #: Nesting depth of the open :meth:`write_group` (0: none).
+        self._group_depth = 0
         self._closed = False
 
     # -- internal helpers ----------------------------------------------------
@@ -124,13 +127,46 @@ class SqliteEngine(StorageEngine):
         )
         return codec
 
-    def _commit(self, defer: bool = False) -> None:
-        if defer:
-            self._dirty = True
-            return
-        if self.synchronous:
+    def _commit(self) -> None:
+        """Commit, unless an open write group will (``commit()`` issues no
+        statement when no transaction is open)."""
+        if self.synchronous and not self._group_depth:
             self._conn.commit()
-            self._dirty = False
+
+    @contextmanager
+    def _write(self) -> Iterator[None]:
+        """One write call: hold the engine lock, then commit.
+
+        A write that raises after *it* opened the transaction (a lost
+        ``put_new`` is the common one) rolls it back: the failed statement
+        changed nothing, and a handle left inside that transaction would
+        keep the file's write lock until its next commit.  A transaction
+        that was already open — a write group, ``synchronous=False`` — holds
+        earlier writes and is left alone.
+        """
+        with self._lock:
+            pending = self._conn.in_transaction
+            try:
+                yield
+            except BaseException:
+                if not pending:
+                    self._conn.rollback()
+                raise
+            self._commit()
+
+    @contextmanager
+    def write_group(self) -> Iterator[None]:
+        """One transaction for every write inside (see the base contract):
+        holds the engine lock, so another thread's write waits for the
+        group instead of joining it, and commits once at the outermost exit
+        — also when an exception ends the group, which keeps its prefix."""
+        with self._lock:
+            self._group_depth += 1
+            try:
+                yield
+            finally:
+                self._group_depth -= 1
+                self._commit()
 
     def _require_table(self, table_name: str) -> None:
         cursor = self._conn.execute(
@@ -142,22 +178,20 @@ class SqliteEngine(StorageEngine):
     # -- table management ----------------------------------------------------
 
     def create_table(self, table_name: str) -> None:
-        with self._lock:
+        with self._write():
             self._conn.execute(
                 "INSERT OR IGNORE INTO reprowd_tables (table_name) VALUES (?)",
                 (table_name,),
             )
-            self._commit()
 
     def drop_table(self, table_name: str) -> None:
-        with self._lock:
+        with self._write():
             self._conn.execute(
                 "DELETE FROM reprowd_records WHERE table_name = ?", (table_name,)
             )
             self._conn.execute(
                 "DELETE FROM reprowd_tables WHERE table_name = ?", (table_name,)
             )
-            self._commit()
 
     def list_tables(self) -> list[str]:
         with self._lock:
@@ -177,7 +211,7 @@ class SqliteEngine(StorageEngine):
 
     def put(self, table_name: str, key: str, value: Any) -> Record:
         encoded = self.codec.encode(value)
-        with self._lock:
+        with self._write():
             self._require_table(table_name)
             cursor = self._conn.execute(
                 "SELECT version FROM reprowd_records WHERE table_name = ? AND key = ?",
@@ -198,8 +232,7 @@ class SqliteEngine(StorageEngine):
                     "WHERE table_name = ? AND key = ?",
                     (encoded, version, table_name, key),
                 )
-            self._commit()
-            return Record(key=key, value=value, version=version)
+        return Record(key=key, value=value, version=version)
 
     def put_new(self, table_name: str, key: str, value: Any) -> Record:
         # A direct INSERT (no prior existence check) makes put_new atomic
@@ -209,7 +242,7 @@ class SqliteEngine(StorageEngine):
         # and every loser gets DuplicateKeyError.  The platform store's
         # id-allocation leases rely on this.
         encoded = self.codec.encode(value)
-        with self._lock:
+        with self._write():
             self._require_table(table_name)
             try:
                 self._conn.execute(
@@ -219,8 +252,7 @@ class SqliteEngine(StorageEngine):
                 )
             except sqlite3.IntegrityError:
                 raise DuplicateKeyError(table_name, key) from None
-            self._commit()
-            return Record(key=key, value=value, version=1)
+        return Record(key=key, value=value, version=1)
 
     def get(self, table_name: str, key: str, default: Any = None) -> Any:
         record = self.get_record(table_name, key)
@@ -240,14 +272,13 @@ class SqliteEngine(StorageEngine):
         return Record(key=key, value=self.codec.decode(row[0]), version=row[1])
 
     def delete(self, table_name: str, key: str) -> bool:
-        with self._lock:
+        with self._write():
             self._require_table(table_name)
             cursor = self._conn.execute(
                 "DELETE FROM reprowd_records WHERE table_name = ? AND key = ?",
                 (table_name, key),
             )
-            self._commit()
-            return cursor.rowcount > 0
+        return cursor.rowcount > 0
 
     def contains(self, table_name: str, key: str) -> bool:
         with self._lock:
@@ -350,19 +381,15 @@ class SqliteEngine(StorageEngine):
         table_name: str,
         items: Iterable[tuple[str, Any]],
         if_absent: bool = False,
-        *,
-        defer_commit: bool = False,
     ) -> list[Record]:
         """Batch write as a single transaction: one read, one ``executemany``."""
         items = list(items)
-        with self._lock:
+        with self._write():
             self._require_table(table_name)
             if not items:
                 return []
             if if_absent:
-                return self._put_many_if_absent(
-                    table_name, items, defer_commit=defer_commit
-                )
+                return self._put_many_if_absent(table_name, items)
             # Only the versions of existing rows are read: a put replaces
             # the value, so the stored one is never fetched or decoded.
             versions = {
@@ -393,14 +420,10 @@ class SqliteEngine(StorageEngine):
                     for key, (encoded, version) in pending.items()
                 ],
             )
-            self._commit(defer=defer_commit)
-            return records
+        return records
 
     def _put_many_if_absent(
-        self,
-        table_name: str,
-        items: list[tuple[str, Any]],
-        defer_commit: bool = False,
+        self, table_name: str, items: list[tuple[str, Any]]
     ) -> list[Record]:
         """``INSERT OR IGNORE``, read back only on a lost key: cross-process
         first-writer-wins.
@@ -424,7 +447,6 @@ class SqliteEngine(StorageEngine):
             "VALUES (?, ?, ?, 1)",
             [(table_name, key, encoded) for key, (encoded, _) in first.items()],
         ).rowcount
-        self._commit(defer=defer_commit)
         if inserted == len(first):
             return [Record(key=key, value=first[key][1]) for key, _ in items]
         raw = self._fetch_rows(table_name, first, "value, version")
@@ -439,15 +461,9 @@ class SqliteEngine(StorageEngine):
             survivors[key] = Record(key=key, value=value, version=version)
         return [survivors[key] for key, _ in items]
 
-    def delete_many(
-        self,
-        table_name: str,
-        keys: Sequence[str],
-        *,
-        defer_commit: bool = False,
-    ) -> int:
+    def delete_many(self, table_name: str, keys: Sequence[str]) -> int:
         """Chunked batch delete: one ``DELETE ... IN`` per chunk, one commit."""
-        with self._lock:
+        with self._write():
             self._require_table(table_name)
             distinct = list(dict.fromkeys(keys))
             deleted = 0
@@ -460,16 +476,7 @@ class SqliteEngine(StorageEngine):
                     (table_name, *chunk),
                 )
                 deleted += cursor.rowcount
-            if distinct:
-                self._commit(defer=defer_commit)
-            return deleted
-
-    def commit_group(self) -> None:
-        """Commit writes deferred with ``defer_commit=True`` (one barrier)."""
-        with self._lock:
-            if self._dirty:
-                self._conn.commit()
-                self._dirty = False
+        return deleted
 
     def get_many(
         self, table_name: str, keys: Sequence[str], default: Any = None
@@ -488,7 +495,6 @@ class SqliteEngine(StorageEngine):
     def flush(self) -> None:
         with self._lock:
             self._conn.commit()
-            self._dirty = False
 
     def close(self) -> None:
         if not self._closed:

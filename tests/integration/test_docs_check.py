@@ -105,6 +105,17 @@ def test_wire_tag_check_catches_drift_in_both_directions(monkeypatch):
     assert checker.check_wire_ops_documented() == []
 
 
+def test_stale_name_check_is_clean_and_catches_a_deleted_name(tmp_path):
+    checker = load_checker()
+    assert checker.check_stale_names(checker.iter_doc_files()) == []
+    page = tmp_path / "stale.md"
+    page.write_text("pass `defer_commit=True`, then call `commit_group()`")
+    problems = checker.check_stale_names([str(page)])
+    assert len(problems) == 2
+    assert any("'defer_commit'" in problem for problem in problems)
+    assert any("'commit_group'" in problem for problem in problems)
+
+
 def test_docs_check_passes_end_to_end():
     """The exact check `make docs-check` runs, quickstart included."""
     checker = load_checker()

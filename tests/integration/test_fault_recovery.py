@@ -13,18 +13,32 @@ scenario grows the ring *between* publish and collect, and the replica
 scenarios SIGKILL a ring member there instead (including mid-rebalance) —
 neither the elastic-scale story nor the availability story may cost a
 single re-published task.
+
+An injected exception leaves a write group's *prefix* (by design: the
+crash-stepping engine keeps modelling the per-item case), so the last class
+kills a real child process with ``SIGKILL`` inside each kind of group and
+checks that the reopened file holds none of it.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro import CrowdContext
 from repro.config import PlatformConfig, WorkerPoolConfig
+from repro.core.manipulations import ManipulationLog
 from repro.datasets import make_image_label_dataset
 from repro.exceptions import CrashInjected
 from repro.platform.client import PipelinedClient, PlatformClient
 from repro.platform.server import PlatformServer
+from repro.platform.store import DurableTaskStore
 from repro.platform.wire import WireClient, WireServer
 from repro.presenters import ImageLabelPresenter
 from repro.simulation import CrashPlan, CrashingEngine
@@ -361,3 +375,133 @@ class TestCrashAndRerun:
         labels = bob_experiment(durable, second_client, dataset)
         assert len(labels) == len(dataset)
         durable.close()
+
+
+#: Bob's program on ``ReprowdConfig.durable(path)`` as a process of its own:
+#: ``python -c CHILD <db> <kill point> <output json>``.  A kill point patches
+#: one method to ``SIGKILL`` the process where a write group is open.
+CHILD = textwrap.dedent(
+    """
+    import json, os, signal, sys
+    from repro import CrowdContext
+    from repro.config import ReprowdConfig
+    from repro.core.manipulations import ManipulationLog
+    from repro.platform.store import DurableTaskStore
+    from repro.presenters import ImageLabelPresenter
+
+    path, kill_at, out = sys.argv[1:4]
+
+    def die(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    if kill_at == "add_tasks":  # create_tasks: after the lease, stage and claim
+        DurableTaskStore.add_tasks = die
+    elif kill_at == "publish_log":  # publish_task: after cache.put_tasks
+        record = ManipulationLog.record
+
+        def record_or_die(self, operation, **kwargs):
+            if operation == "publish_task":
+                die()
+            return record(self, operation, **kwargs)
+
+        ManipulationLog.record = record_or_die
+    elif kill_at == "update_tasks":  # the simulate wave: after append_runs
+        DurableTaskStore.update_tasks = die
+
+    context = CrowdContext(
+        config=ReprowdConfig.durable(path, seed=23), ground_truth=lambda obj: "Yes"
+    )
+    objects = [f"img-{i:03d}.png" for i in range(12)]
+    data = context.CrowdData(objects, "killable").set_presenter(ImageLabelPresenter())
+    data.publish_task(n_assignments=3).get_result().mv()
+    statistics = context.client.statistics()
+    with open(out, "w") as handle:
+        json.dump(
+            {"rows": data.rows(), "tasks": statistics["tasks"], "runs": statistics["task_runs"]},
+            handle,
+            sort_keys=True,
+        )
+    context.close()
+    """
+)
+
+
+def run_child(db_path, kill_at, out_path):
+    """Run :data:`CHILD`; return its exit status."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-c", CHILD, str(db_path), kill_at, str(out_path)],
+        env=env,
+        timeout=120,
+    ).returncode
+
+
+class TestProcessKillInsideAWriteGroup:
+    OBJECTS, REDUNDANCY = 12, 3
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        """What a child nobody kills leaves in its output file."""
+        folder = tmp_path_factory.mktemp("uninterrupted")
+        assert run_child(folder / "exp.db", "none", folder / "out.json") == 0
+        return (folder / "out.json").read_text()
+
+    @pytest.mark.parametrize("kill_at", ["add_tasks", "publish_log", "update_tasks"])
+    def test_nothing_of_the_killed_group_and_everything_before_it(
+        self, tmp_path, uninterrupted, kill_at
+    ):
+        db, out = tmp_path / "exp.db", tmp_path / "out.json"
+        assert run_child(db, kill_at, out) == -signal.SIGKILL
+        assert not out.exists()
+
+        engine = SqliteEngine(str(db))
+        store = DurableTaskStore(engine)
+        project_id = store.find_project_id("killable")
+        assert project_id is not None  # create_project: a verb before
+        assert engine.get("killable::meta", "project")["id"] == project_id
+        operations = ManipulationLog(engine, "killable").operations()
+        counts = {
+            name: engine.count(table)
+            for name, table in {
+                "tasks": "platform::tasks",
+                "dedup": store._dedup_table(project_id),
+                "index": store._index_table(project_id),
+                "runs": "platform::runs",
+                "cached_tasks": "killable::tasks",
+                "cached_results": "killable::results",
+            }.items()
+        }
+        meta_keys = engine.keys("platform::meta")
+        if kill_at == "add_tasks":
+            # No staged record, no dedup mapping, no consumed id lease.
+            assert counts["tasks"] == counts["dedup"] == counts["index"] == 0
+            assert not [key for key in meta_keys if key.startswith("next_task_id")]
+            assert operations == ["init", "set_presenter"]
+        else:
+            assert counts["tasks"] == counts["dedup"] == counts["index"] == self.OBJECTS
+        if kill_at == "publish_log":
+            # No cached descriptor without its publish_task log entry.
+            assert counts["cached_tasks"] == 0
+            assert operations == ["init", "set_presenter"]
+        if kill_at == "update_tasks":
+            # No run without its stamp: none of the wave, reservation included.
+            assert counts["cached_tasks"] == self.OBJECTS
+            assert operations == ["init", "set_presenter", "publish_task"]
+            assert store.open_task_ids(project_id) == store.project_task_ids(project_id)
+            assert not [key for key in meta_keys if key.startswith("next_run_id")]
+        assert counts["runs"] == counts["cached_results"] == 0
+        engine.close()
+
+        # The rerun — a new process on the same file — ends where a child
+        # nobody killed ends: same table, one task per object, no answer
+        # bought twice.
+        assert run_child(db, "none", out) == 0
+        assert out.read_text() == uninterrupted
+        report = json.loads(out.read_text())
+        assert report["tasks"] == self.OBJECTS
+        assert report["runs"] == self.OBJECTS * self.REDUNDANCY
+        run_ids = [
+            run["id"] for row in report["rows"] for run in row["result"]["assignments"]
+        ]
+        assert len(set(run_ids)) == len(run_ids) == report["runs"]

@@ -13,11 +13,15 @@ tests count it at the engine boundary, in machine-independent units:
 * the write-once publish: a keyed ``create_tasks`` leaves every task
   record and dedup mapping at ``version == 1``;
 * the frontier stays right where it could go stale: un-stamps, reopens,
-  shared handles, healed index entries, stale-mapping takeovers, deletes.
+  shared handles, healed index entries, stale-mapping takeovers, deletes;
+* one barrier per verb: every platform verb and every CrowdData step's
+  local tail is one ``write_group()`` — one sqlite ``COMMIT`` (counted with
+  ``set_trace_callback``), however many batches it writes.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import pytest
@@ -25,7 +29,7 @@ import pytest
 from repro import CrowdContext
 from repro.config import PlatformConfig
 from repro.exceptions import StorageError
-from repro.platform.client import PlatformClient
+from repro.platform.client import PipelinedClient, PlatformClient
 from repro.platform.models import Task
 from repro.platform.server import PlatformServer
 from repro.platform.store import DurableTaskStore, MemoryTaskStore
@@ -115,6 +119,22 @@ def sqlite_engine(tmp_path):
     engine.close()
 
 
+class CommitCounter:
+    """Counts the ``COMMIT`` statements a sqlite engine's connection runs."""
+
+    def __init__(self, engine):
+        self.count = 0
+        engine._conn.set_trace_callback(self._trace)
+
+    def _trace(self, sql):
+        self.count += sql == "COMMIT"
+
+    def take(self):
+        """Commits since the last call."""
+        taken, self.count = self.count, 0
+        return taken
+
+
 class TestStepCostFollowsTheBatch:
     def test_stream_reads_each_task_record_about_once(self, sqlite_engine):
         """The E0 ``durable_sqlite`` shape: one sqlite file under both the
@@ -165,8 +185,10 @@ class TestStepCostFollowsTheBatch:
         server = build_server(store)
         project = server.create_project("exp")
         engine.write_calls.clear()
+        commits = CommitCounter(sqlite_engine)
         tasks = server.create_tasks(project.project_id, specs(100))
 
+        assert commits.take() == 1
         assert sum(engine.write_calls.values()) <= 6, engine.write_calls
         assert len({task.task_id for task in tasks}) == 100
         for table in (TASKS_TABLE, store._dedup_table(project.project_id)):
@@ -178,6 +200,7 @@ class TestStepCostFollowsTheBatch:
         replayed = server.create_tasks(project.project_id, specs(100))
         assert [task.task_id for task in replayed] == [task.task_id for task in tasks]
         assert sum(engine.write_calls.values()) == 0
+        assert commits.take() == 0
 
     def test_unkeyed_and_mixed_batches_are_published_whole(self, sqlite_engine):
         store = DurableTaskStore(sqlite_engine)
@@ -199,6 +222,110 @@ class TestStepCostFollowsTheBatch:
         engine.read_calls.clear()
         server.extend_tasks_redundancy({task.task_id: 1 for task in tasks})
         assert engine.read_calls[TASKS_TABLE] == 1
+
+
+def run_stream(cache_engine, client, on_batch=lambda: None):
+    """The 12-batch extend → publish → collect program; returns per row
+    ``(task id, answers)``."""
+    context = CrowdContext(
+        engine=cache_engine, client=client, ground_truth=lambda obj: "Yes"
+    )
+    data = context.CrowdData([], "stream").set_presenter(ImageLabelPresenter())
+    on_batch()
+    for batch in range(BATCHES):
+        data.extend([f"img-{batch * BATCH_SIZE + i:04d}.png" for i in range(BATCH_SIZE)])
+        data.publish_task(n_assignments=REDUNDANCY).get_result()
+        on_batch()
+    assert len(data) == BATCHES * BATCH_SIZE
+    return [
+        (result["task_id"], [run["answer"] for run in result["assignments"]])
+        for result in data.column("result")
+    ]
+
+
+class TestOneBarrierPerVerb:
+    def test_platform_verbs_commit_once(self, sqlite_engine):
+        server = build_server(DurableTaskStore(sqlite_engine))
+        commits = CommitCounter(sqlite_engine)
+        project = server.create_project("exp")
+        assert commits.take() == 1
+        assert server.create_project("exp").project_id == project.project_id
+        assert commits.take() == 0
+
+        tasks = server.create_tasks(project.project_id, specs(20))
+        assert commits.take() == 1
+        # One wave: reservation + runs + stamps.
+        assert server.simulate_work(project.project_id) == 20 * REDUNDANCY
+        assert commits.take() == 1
+        assert server.simulate_work(project.project_id) == 0
+        assert commits.take() == 0
+
+        server.extend_tasks_redundancy({tasks[0].task_id: 1, tasks[1].task_id: 2})
+        server.delete_task(tasks[2].task_id)
+        assert commits.take() == 2
+        server.delete_project(project.project_id)
+        assert commits.take() == 1
+
+    def test_every_wave_of_a_paged_simulate_is_its_own_commit(self, sqlite_engine):
+        server = build_server(DurableTaskStore(sqlite_engine))
+        server._work_page_size = 4
+        project, _ = publish(server, 10)
+        commits = CommitCounter(sqlite_engine)
+        server.simulate_work(project.project_id)
+        assert commits.take() == 3
+        assert_all_filled(server, project.project_id)
+
+    def test_stream_pays_at_most_five_commits_a_batch(self, sqlite_engine):
+        """The E0 ``durable_sqlite`` shape (the parent paid about 15): extend,
+        publish (``create_tasks``; descriptors + log record), collect (the
+        simulate wave; results + log record)."""
+        server = build_server(DurableTaskStore(sqlite_engine))
+        commits = CommitCounter(sqlite_engine)
+        steps = []
+        run_stream(sqlite_engine, PlatformClient(server), lambda: steps.append(commits.take()))
+
+        del steps[0]  # opening the table
+        # The first batch also creates the project and caches its name.
+        assert steps[0] <= 7 and max(steps[1:]) <= 5, steps
+        third = BATCHES // 3
+        assert sum(steps[-third:]) <= sum(steps[:third]), steps
+
+    def test_same_answers_over_pipelined_transport_and_a_shared_handle(
+        self, tmp_path, sqlite_engine
+    ):
+        """Where a group spanning a transport call would deadlock (a
+        pipelined worker thread blocking on the engine lock) or time out (a
+        second connection waiting for the file's write lock), the stream
+        completes — the groups cover only local tails."""
+        direct = run_stream(
+            sqlite_engine, PlatformClient(build_server(DurableTaskStore(sqlite_engine)))
+        )
+
+        outcomes = {}
+
+        def pipelined():
+            engine = SqliteEngine(str(tmp_path / "pipelined.db"))
+            client = PipelinedClient(
+                build_server(DurableTaskStore(engine)), batch_size=4, max_in_flight=3
+            )
+            outcomes["pipelined"] = run_stream(engine, client)
+            client.close()
+            engine.close()
+
+        def shared_handle():
+            cache = SqliteEngine(str(tmp_path / "shared.db"))
+            platform = SqliteEngine(str(tmp_path / "shared.db"))
+            server = build_server(DurableTaskStore(platform, shared=True))
+            outcomes["shared"] = run_stream(cache, PlatformClient(server))
+            platform.close()
+            cache.close()
+
+        for program in (pipelined, shared_handle):
+            thread = threading.Thread(target=program, daemon=True)
+            thread.start()
+            thread.join(60)
+            assert not thread.is_alive(), f"{program.__name__} stream is stuck"
+        assert outcomes == {"pipelined": direct, "shared": direct}
 
 
 @pytest.mark.parametrize("store_kind", ["memory", "durable"])
@@ -465,26 +592,6 @@ class TestEngineBatchesDecodeOnlyWhatTheyReturn:
         ]
         assert self.record_selects(statements) == []
         assert sqlite_engine.get("c", "a") == 1
-
-    def test_deferred_commit_takes_the_same_path_and_commit_group_lands_it(
-        self, sqlite_engine, statements
-    ):
-        other = SqliteEngine(sqlite_engine.path)  # opened before the write lock
-        try:
-            items = self.batch()
-            records = sqlite_engine.put_many(
-                "c", items, if_absent=True, defer_commit=True
-            )
-            assert self.record_selects(statements) == []
-            assert [r.value for r in records] == [value for _, value in items]
-            assert "COMMIT" not in statements
-            assert other.count("c") == 0  # not yet visible to another handle
-            sqlite_engine.commit_group()
-            assert "COMMIT" in statements
-            assert other.count("c") == self.ROWS
-            assert other.get_record("c", "k0999") == records[999]
-        finally:
-            other.close()
 
     def test_an_unencodable_value_still_writes_nothing(self, sqlite_engine, statements):
         with pytest.raises(StorageError):

@@ -3,10 +3,9 @@
 Covers the :class:`AsyncTransport` concurrency layer (bounded in-flight
 window, ticket-ordered server application, flush-on-read barrier), the
 :class:`PipelinedClient` facade (in-flight ``create_tasks`` sub-batches,
-offset-pumped page iteration), the buffered manipulation log, and — the hard
-part — the fault-injection scenarios where a failure lands on an in-flight
-batch: no duplicate tasks, no lost appends, retries attributed to the right
-call name.
+offset-pumped page iteration) and — the hard part — the fault-injection
+scenarios where a failure lands on an in-flight batch: no duplicate tasks,
+no lost appends, retries attributed to the right call name.
 """
 
 from __future__ import annotations
@@ -401,43 +400,6 @@ class TestPipelinedFaultInjection:
         with pytest.raises(PlatformUnavailableError):
             client.create_tasks(project.project_id, task_specs(50))
         client.close()
-
-
-class TestBufferedManipulationLog:
-    def test_buffered_records_flush_when_full(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        log = ManipulationLog(memory_engine, "t", buffer_size=3)
-        log.record("a")
-        log.record("b")
-        assert memory_engine.count("t::manipulations") == 0
-        log.record("c")  # fills the buffer -> one put_many
-        assert memory_engine.count("t::manipulations") == 3
-        assert log.operations() == ["a", "b", "c"]
-
-    def test_reads_flush_the_buffer(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        log = ManipulationLog(memory_engine, "t", buffer_size=10)
-        log.record("a")
-        assert len(log) == 1  # flush-on-read
-        log.record("b")
-        assert [m.operation for m in log.history()] == ["a", "b"]
-        assert [m.sequence for m in log.history()] == [1, 2]
-
-    def test_record_many_lands_after_buffered_entries(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        log = ManipulationLog(memory_engine, "t", buffer_size=10)
-        log.record("a")
-        log.record_many([{"operation": "b"}, {"operation": "c"}])
-        assert log.operations() == ["a", "b", "c"]
-
-    def test_invalid_buffer_size(self, memory_engine):
-        from repro.core.manipulations import ManipulationLog
-
-        with pytest.raises(ValueError):
-            ManipulationLog(memory_engine, "t", buffer_size=0)
 
 
 class TestConfigWiring:

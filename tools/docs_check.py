@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: lint the docs set, then smoke the quickstart.
 
-Seven checks, all cheap enough for tier-1 (see ``make docs-check`` and
+Eight checks, all cheap enough for tier-1 (see ``make docs-check`` and
 ``tests/integration/test_docs_check.py``):
 
 1. **Link lint** — every relative link or image target in ``README.md`` and
@@ -25,7 +25,9 @@ Seven checks, all cheap enough for tier-1 (see ``make docs-check`` and
 6. **Wire-tag table** — the tag table of ``docs/wire.md`` must list exactly
    the tags in ``repro.platform.wire.WIRE_TAGS``, the ones the value codec
    emits and accepts.
-7. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
+7. **Stale names** — no checked document may mention a name a deletion PR
+   removed from the code (:data:`STALE_NAMES`).
+8. **Quickstart smoke** — ``examples/quickstart.py`` runs headlessly against
    a throwaway database and its output must prove the fault-recovery
    guarantee the README promises: the second run publishes zero new tasks.
 
@@ -57,6 +59,10 @@ BENCH_CATALOGUE = os.path.join("docs", "benchmarks.md")
 
 #: The page whose op table must equal ``WIRE_OPS`` and tag table ``WIRE_TAGS``.
 WIRE_DOC = os.path.join("docs", "wire.md")
+
+#: Names deleted from the code that the docs must not go on describing; a PR
+#: that deletes a public name adds it here.
+STALE_NAMES = ("defer_commit", "commit_group", "log_buffer_size")
 
 
 def iter_doc_files() -> list[str]:
@@ -225,6 +231,20 @@ def check_wire_tags_documented() -> list[str]:
     return _check_wire_table("WIRE_TAGS", "tag", r'"(\w+)"')
 
 
+def check_stale_names(doc_files: list[str]) -> list[str]:
+    """No checked document may mention a name in :data:`STALE_NAMES`."""
+    problems: list[str] = []
+    for doc_path in doc_files:
+        text = _read(doc_path)
+        relative = os.path.relpath(doc_path, REPO_ROOT)
+        problems.extend(
+            f"{relative}: mentions {name!r}, which was deleted from the code"
+            for name in STALE_NAMES
+            if name in text
+        )
+    return problems
+
+
 def run_quickstart() -> list[str]:
     """Run the quickstart headlessly; return problems (empty when healthy)."""
     env = dict(os.environ)
@@ -276,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     problems.extend(check_benchmark_catalogue())
     problems.extend(check_wire_ops_documented())
     problems.extend(check_wire_tags_documented())
+    problems.extend(check_stale_names(existing))
     if not args.skip_quickstart:
         problems.extend(run_quickstart())
 
@@ -288,6 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"docs-check: {checked} markdown file(s) link-clean and cross-linked, "
         "config fields + benchmark catalogue + wire ops and tags covered, "
+        "no stale names, "
         f"quickstart {quickstart_note}"
     )
     return 0

@@ -18,7 +18,9 @@ read-only) in this process, under the conditions E0 measures in
 (``run.steady_conditions()``), at E0's frozen full sizes unless ``--scale
 smoke`` is given.  E0's traced run says which *layer* the time is in; this
 says which *function*.  Set-up is outside the profile, like it is outside
-``run_s``.
+``run_s``.  Under the table it prints the sqlite ``COMMIT`` count of the
+profiled repetition — the durability barriers this process paid, which no
+E0 metric reports.
 
 Either way ``--sort tottime`` ranks by a function's own time instead of
 cumulative time, and ``--callers <pattern>`` adds who calls the functions
@@ -39,6 +41,7 @@ import cProfile
 import os
 import pstats
 import shutil
+import sqlite3
 import subprocess
 import sys
 
@@ -115,21 +118,40 @@ def profile_e0(name: str, scale: str, seed: int, report_args: tuple) -> int:
     os.makedirs(run_dir)
     print(f"\n=== E0: {name} (--scale {scale}, --seed {seed}) ===", flush=True)
     profiler = cProfile.Profile()
+    commits: list[str] = []
     with e0.steady_conditions():
+        # Every connection this process opens reports its COMMITs (the
+        # spawned server of ``wire_stream`` is another process, unseen);
+        # leaving steady_conditions() puts the real ``connect`` back.
+        conditioned = sqlite3.connect
+
+        def note_commit(statement: str) -> None:
+            if statement == "COMMIT":
+                commits.append(statement)
+
+        def connect(*args, **kwargs):
+            connection = conditioned(*args, **kwargs)
+            connection.set_trace_callback(note_commit)
+            return connection
+
+        sqlite3.connect = connect
         inputs = workload.setup(seed, workload.sizes[scale], run_dir)
         try:
             steps = Steps()
             steps.start()
+            del commits[:]  # set-up's are not the repetition's
             profiler.enable()
             try:
                 workload.run(inputs, Env(steps))
             finally:
                 profiler.disable()
+            run_commits = len(commits)
         finally:
             workload.teardown(inputs)
             shutil.rmtree(run_dir, ignore_errors=True)
     profiler.dump_stats(pstats_path)
     report(pstats_path, *report_args)
+    print(f"E0 {name}: sqlite commits in the profiled repetition: {run_commits}")
     print(f"E0 {name}: raw profile saved to {os.path.relpath(pstats_path, REPO_ROOT)}")
     return 0
 
